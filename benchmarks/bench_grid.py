@@ -12,8 +12,8 @@ consumer at once instead of drifting per file.
   disk); ``dense`` (5·10⁻⁵) is the paper's Section IV density where most
   of the field shares one 3×3 cell block.
 * ``SIZES`` — the classic microbench columns.
-* ``MEGA_SIZES`` — the 2 000/10 000-node worlds the vectorized (SoA)
-  fan-out and calendar-queue scheduler exist for; split out so quick CI
+* ``MEGA_SIZES`` — the 2 000/10 000-node worlds where signal edges are
+  nearly every event (the case waves exist for); split out so quick CI
   smokes can sweep ``SIZES`` only.
 """
 
@@ -25,7 +25,7 @@ DENSITIES: dict[str, float] = {"sparse": 5e-6, "dense": 5e-5}
 #: Classic network sizes swept by every fan-out benchmark column.
 SIZES: tuple[int, ...] = (10, 50, 200, 800)
 
-#: Mega-scale sizes: exercised only by the vectorized-core benchmarks.
+#: Mega-scale sizes: too large for the brute scan, spatial index only.
 MEGA_SIZES: tuple[int, ...] = (2000, 10000)
 
 #: The full sweep, classic then mega.

@@ -1,7 +1,8 @@
-"""Transmit fan-out benchmarks: brute scan vs spatial index vs SoA pass.
+"""Transmit fan-out benchmarks: brute per-edge scan vs spatial index + waves.
 
 Measures the cost of ``Channel.transmit`` (fan-out plus dispatch of the
-scheduled signal edges) over the shared ``bench_grid`` sweep — classic
+signal edges — one event per edge for the brute scan, one wave per
+transmission for the spatial index) over the shared ``bench_grid`` sweep — classic
 sizes N ∈ {10, 50, 200, 800} plus the mega-scale columns N ∈ {2000,
 10000} — for two placement regimes:
 
@@ -9,7 +10,7 @@ sizes N ∈ {10, 50, 200, 800} plus the mega-scale columns N ∈ {2000,
   the regime the spatial index targets (fan-out should approach O(degree)).
 * **dense** — 5·10⁻⁵ nodes/m², the paper's Section IV density: most of the
   field is inside one 3×3 cell block, so the index's win comes from the
-  epoch gain cache and the struct-of-arrays vector pass rather than culling.
+  cached wave templates and their cheap dispatch rather than culling.
 
 Radios are inert sinks so the numbers isolate the channel (the radio state
 machine is benchmarked separately in ``test_engine_microbench.py``).
@@ -59,33 +60,16 @@ class _SinkRadio:
         pass
 
 
-def build_fanout_world(
-    n: int,
-    density: float,
-    spatial: bool,
-    seed: int = 7,
-    *,
-    fanout: str = "scalar",
-    scheduler: str = "heap",
-    pool_events: bool = False,
-):
-    """A static world of ``n`` sink radios at the given node density.
-
-    The keyword knobs mirror the ``engine`` registry slot so the bench can
-    A/B the vectorized core: ``fanout="soa"`` turns on the struct-of-arrays
-    pass (requires ``spatial``), ``scheduler="calendar"`` swaps the kernel's
-    binary heap for the calendar queue, ``pool_events`` recycles transient
-    ``Event`` objects through the kernel freelist.
-    """
+def build_fanout_world(n: int, density: float, spatial: bool, seed: int = 7):
+    """A static world of ``n`` sink radios at the given node density."""
     side = math.sqrt(n / density)
-    sim = Simulator(scheduler=scheduler, pool_events=pool_events)
+    sim = Simulator()
     chan = Channel(
         sim,
         TwoRayGround(),
         interference_floor_w=PHY.interference_floor_w,
         spatial_index=spatial,
         max_tx_power_w=PHY.max_power_w,
-        fanout=fanout,
     )
     rng = np.random.default_rng(seed)
     radios = []
@@ -116,18 +100,13 @@ def fanout_round(sim: Simulator, chan: Channel, srcs, frame: PhyFrame) -> None:
     sim.run_until(sim.now + 1.0)
 
 
-#: mode name -> (spatial_index, fanout) for the world builder.
-MODES = {
-    "brute": (False, "scalar"),
-    "indexed": (True, "scalar"),
-    "soa": (True, "soa"),
-}
+#: mode name -> spatial_index for the world builder.
+MODES = {"brute": False, "indexed": True}
 
 
 def build_mode_world(n: int, density: float, mode: str, seed: int = 7):
     """A fan-out world configured for one named bench mode."""
-    spatial, fanout = MODES[mode]
-    return build_fanout_world(n, density, spatial, seed, fanout=fanout)
+    return build_fanout_world(n, density, MODES[mode], seed)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -141,17 +120,16 @@ def test_transmit_fanout(benchmark, n, placement, mode):
     benchmark(fanout_round, sim, chan, srcs, frame)
 
 
-@pytest.mark.parametrize("mode", ("indexed", "soa"))
 @pytest.mark.parametrize("placement", sorted(DENSITIES))
 @pytest.mark.parametrize("n", MEGA_SIZES)
-def test_transmit_fanout_mega(benchmark, n, placement, mode):
-    """Mega-scale columns: spatial index vs the SoA vector pass.
+def test_transmit_fanout_mega(benchmark, n, placement):
+    """Mega-scale columns: the spatial index with waves only.
 
     The brute O(N) scan is omitted here — at N = 10 000 it is the
-    pathology the vectorized core exists to avoid, and timing it adds
+    pathology the spatial index exists to avoid, and timing it adds
     minutes without information (its classic-size scaling is linear).
     """
-    sim, chan, radios = build_mode_world(n, DENSITIES[placement], mode)
+    sim, chan, radios = build_mode_world(n, DENSITIES[placement], "indexed")
     srcs = radios[:TX_SAMPLE]
     frame = make_frame()
     benchmark.group = f"fanout-mega-{placement}-n{n}"

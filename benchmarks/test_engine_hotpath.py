@@ -1,10 +1,10 @@
 """Whole-run engine hot-path benchmarks (the BENCH_engine.json companions).
 
 Where ``test_engine_microbench.py`` times isolated substrate pieces, these
-measure the paths the run-loop turbocharge targeted, at whole-run or
+measure the paths the run-loop optimisations targeted, at whole-run or
 storm scale:
 
-* fused vs reference kernel loop over an identical event storm;
+* the kernel loop over an event storm, per-edge events vs one wave;
 * MAC-style timer churn (arm, usually cancel, re-arm) including the lazy-
   cancel compaction the churn relies on;
 * tracing emit cost for disabled categories (the near-zero-cost contract);
@@ -23,7 +23,7 @@ import pytest
 
 from repro.config import ScenarioConfig
 from repro.experiments.scenario import build_network
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, WaveTemplate
 from repro.sim.trace import Tracer
 
 # ---------------------------------------------------------------------------
@@ -46,14 +46,48 @@ def _event_storm(sim: Simulator, chains: int = 50, length: int = 100) -> int:
     return count[0]
 
 
-@pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
-def test_kernel_loop_event_storm(benchmark, fused):
+def test_kernel_loop_event_storm(benchmark):
     def storm():
-        return _event_storm(Simulator(fused=fused))
+        return _event_storm(Simulator())
 
     # The last in-flight tick of each chain still fires after the threshold
     # crossing, so the total lands slightly above chains*length.
     assert benchmark(storm) >= 5000
+
+
+@pytest.mark.parametrize("wave", [False, True], ids=["per-edge", "wave"])
+def test_fanout_edge_storm(benchmark, wave):
+    """Transmissions of 45 receivers each: two events per receiver vs one
+    wave per transmission (same dispatch order, same edge count)."""
+    n = 45
+    offsets = [i * 1e-7 for i in range(n)]
+
+    def sink_lead(arg, x):
+        pass
+
+    def sink_trail(arg):
+        pass
+
+    template = WaveTemplate(offsets, [sink_lead] * n, [sink_trail] * n, [0.0] * n)
+
+    def storm():
+        sim = Simulator()
+
+        def transmit():
+            if wave:
+                template.launch(sim, 1e-3, None, None)
+                return
+            now = sim.now
+            for d in offsets:
+                sim.schedule(now + d, sink_lead, 1, "", (None, 0.0))
+                sim.schedule(now + d + 1e-3, sink_trail, 0, "", (None,))
+
+        for k in range(200):
+            sim.schedule(k * 1e-2, transmit)
+        sim.run_until(1e9)
+        return sim.events_executed
+
+    assert benchmark(storm) == 200 * (2 * n + 1)
 
 
 def test_kernel_cancel_heavy_storm(benchmark):

@@ -55,17 +55,6 @@ validated params as keyword arguments.  What each slot must return:
     :class:`~repro.phy.reception.sinr.SinrReceiver` per radio inside
     :meth:`BuildContext.make_radio`, so data *and* PCMAC control radios get
     the same receiver semantics.  Context: ``cfg`` only.
-``engine``
-    an :class:`EnginePlan` (event scheduler, PHY fan-out strategy, event
-    pooling).  **Exception to the ctx-first contract:** the engine factory
-    is called with ``ctx=None`` — it configures the :class:`Simulator`
-    itself, so it runs before the context (which needs the simulator)
-    exists, and must derive everything from its params alone.  Every
-    registered engine is dispatch-order preserving: results are
-    bit-identical across engines (the differential suite under
-    ``tests/differential/`` enforces this on whole ``ExperimentResult``\\ s),
-    so the slot is purely a performance choice — but it still hashes into
-    the spec key, recording exactly what ran.
 
 The call order (and the named RNG streams each builtin consumes) reproduces
 the historical ``build_network`` exactly, which is what keeps the
@@ -115,26 +104,6 @@ class EnergyPlan:
     #: the power control channel as a negligible, low-rate transceiver —
     #: see docs/model-assumptions.md).
     meter_control: bool = False
-
-
-@dataclass(frozen=True)
-class EnginePlan:
-    """What an engine component returns: execution-engine configuration.
-
-    All fields select between dispatch-order-equivalent implementations —
-    the simulated results are bit-identical whatever the plan says; only
-    wall-clock speed and memory behaviour change.
-    """
-
-    #: Event queue implementation: ``"heap"`` or ``"calendar"``.
-    scheduler: str = "heap"
-    #: Channel fan-out strategy: ``"scalar"`` or ``"soa"`` (vectorised;
-    #: engages only with the spatial index + a ``bulk_exact`` model).
-    fanout: str = "scalar"
-    #: Recycle fired transient events through the kernel freelist.
-    pool_events: bool = False
-    #: Calendar-queue bucket width [s]; ignored by the heap scheduler.
-    bucket_width_s: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -310,14 +279,11 @@ class NetworkBuilder:
     Args:
         spec: the declarative scenario.
         tracer: optional tracer shared by every layer.
-        spatial_index: use the channels' uniform-grid fan-out (default).
-            The brute-force scan is event-schedule bit-identical (enforced
-            by the PHY equivalence suite); the flag only trades build/lookup
-            overhead against per-frame fan-out cost.
-        fused_kernel: use the kernel's fused single-traversal hot loop
-            (default).  ``False`` selects the reference peek-then-pop loop —
-            dispatch is bit-identical (enforced by the kernel equivalence
-            suite); the flag only selects the loop implementation.
+        spatial_index: use the channels' uniform-grid fan-out with waves
+            (default).  The brute-force scan, which schedules every signal
+            edge as its own event, is dispatch bit-identical (enforced by
+            the PHY equivalence and differential suites); the flag only
+            trades build/lookup overhead against per-frame fan-out cost.
     """
 
     def __init__(
@@ -326,12 +292,10 @@ class NetworkBuilder:
         *,
         tracer: Tracer | None = None,
         spatial_index: bool = True,
-        fused_kernel: bool = True,
     ) -> None:
         self.spec = spec
         self.tracer = tracer or NULL_TRACER
         self.spatial_index = spatial_index
-        self.fused_kernel = fused_kernel
 
     # ------------------------------------------------------------------ util
 
@@ -393,21 +357,10 @@ class NetworkBuilder:
                 f"use mobility 'static' (got {mobility_entry.name!r})"
             )
 
-        # The engine factory runs before the context exists (the context
-        # needs the simulator the plan configures) — see the module
-        # docstring's contract table.
-        engine_entry, engine_params = resolved["engine"]
-        engine_plan: EnginePlan = engine_entry.factory(None, **engine_params)
-
         ctx = BuildContext(
             spec=spec,
             cfg=cfg,
-            sim=Simulator(
-                fused=self.fused_kernel,
-                scheduler=engine_plan.scheduler,
-                pool_events=engine_plan.pool_events,
-                bucket_width_s=engine_plan.bucket_width_s,
-            ),
+            sim=Simulator(),
             rngs=RngRegistry(cfg.seed),
             tracer=self.tracer,
             noise=ConstantNoise(cfg.phy.noise_floor_w),
@@ -446,7 +399,6 @@ class NetworkBuilder:
             spatial_index=self.spatial_index,
             max_tx_power_w=cfg.phy.max_power_w,
             max_speed_mps=ctx.mobility_plan.max_speed_mps,
-            fanout=engine_plan.fanout,
         )
         ctx.data_channel = Channel(
             ctx.sim, ctx.propagation, name="data", **channel_kwargs

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 from repro.builder import (
     BuildContext,
     EnergyPlan,
-    EnginePlan,
     MobilityPlan,
     ObservabilityPlan,
 )
@@ -59,7 +58,6 @@ _energy = registry("energy")
 _observability = registry("observability")
 _faults = registry("faults")
 _reception = registry("reception")
-_engine = registry("engine")
 
 
 # ---------------------------------------------------------------------------
@@ -744,61 +742,3 @@ def _log_distance(
         gain_rx=_phy_default(gain_rx, phy.antenna_gain_rx),
         system_loss=_phy_default(system_loss, phy.system_loss),
     )
-
-
-# ---------------------------------------------------------------------------
-# Engine
-# ---------------------------------------------------------------------------
-
-_ENGINE_PARAMS = (
-    Param("scheduler", str, "heap"),
-    Param("fanout", str, "scalar"),
-    Param("pool_events", bool, False),
-    Param("bucket_width_s", float, 1e-3),
-)
-
-
-def _engine_plan(scheduler, fanout, pool_events, bucket_width_s) -> EnginePlan:
-    # Validate names here so a bad spec fails at build time with the
-    # registry's clear error surface, not deep inside Simulator/Channel.
-    if scheduler not in ("heap", "calendar"):
-        raise ValueError(
-            f"engine scheduler must be 'heap' or 'calendar', got {scheduler!r}"
-        )
-    if fanout not in ("scalar", "soa"):
-        raise ValueError(f"engine fanout must be 'scalar' or 'soa', got {fanout!r}")
-    if bucket_width_s <= 0:
-        raise ValueError(f"engine bucket_width_s must be positive, got {bucket_width_s!r}")
-    return EnginePlan(
-        scheduler=scheduler,
-        fanout=fanout,
-        pool_events=pool_events,
-        bucket_width_s=bucket_width_s,
-    )
-
-
-@_engine.register(
-    "default",
-    params=_ENGINE_PARAMS,
-    doc="execution engine: heap scheduler, scalar fan-out, no pooling "
-    "(every combination is result-bit-identical; see docs/performance.md)",
-)
-def _engine_default(ctx, scheduler, fanout, pool_events, bucket_width_s):
-    """Configurable execution engine (called with ctx=None — see builder docs)."""
-    return _engine_plan(scheduler, fanout, pool_events, bucket_width_s)
-
-
-@_engine.register(
-    "turbo",
-    params=(
-        Param("scheduler", str, "calendar"),
-        Param("fanout", str, "soa"),
-        Param("pool_events", bool, True),
-        Param("bucket_width_s", float, 1e-3),
-    ),
-    doc="the mega-scale preset: calendar scheduler + SoA fan-out + event "
-    "pooling (bit-identical results, fastest on large static worlds)",
-)
-def _engine_turbo(ctx, scheduler, fanout, pool_events, bucket_width_s):
-    """The fast preset — same factory as 'default' with turbo defaults."""
-    return _engine_plan(scheduler, fanout, pool_events, bucket_width_s)

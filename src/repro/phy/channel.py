@@ -56,33 +56,33 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   the floor gets the exact scalar ``gain_at`` value, and *only* exact
   gains ever reach a scheduled event or a reusable cache entry (approximate
   entries are cached with an ``exact=False`` flag and upgraded on demand).
-  Scheduling happens in a second pass, strictly in attach order, so event
-  sequence numbers — and with them same-time tie-breaking — are untouched.
+  Survivors are numbered in a second pass, strictly in attach order, so
+  edge sequence numbers — and with them same-time tie-breaking — are
+  untouched.
 
-* **Struct-of-arrays (SoA) fan-out** (``fanout="soa"``).  When the
-  propagation model advertises ``bulk_exact = True`` (its bulk gains are
-  bit-identical to the scalar path — see ``repro.phy.propagation``), the
-  per-transmit fan-out over an all-static candidate block collapses into
-  one vectorised numpy pass: block positions are mirrored into flat
-  coordinate arrays (memoised per 3×3 block, invalidated with the block
-  cache), distances come from ``sqrt(dx²+dy²)`` on the arrays, received
-  powers from ``tx_power * gain_at_many(d)``, and the survivor mask from a
-  single floor comparison.  Because every operation is the same sequence
-  of correctly-rounded IEEE-754 ops the scalar loop performs, the
-  scheduled times and powers are bit-identical — this is a *full
-  scheduled-power* path, not cull-only.  Blocks containing any mobile
-  radio (or fewer than ``_SOA_MIN`` candidates) fall back to the scalar
-  paths above; models without ``bulk_exact`` (e.g. log-distance shadowing)
-  never take the SoA path at all, keeping its exactness story absolute.
+* **Waves.**  Both indexed paths hand a transmission's edges to the
+  kernel as one :class:`~repro.sim.kernel.Wave` — a single queue entry
+  holding every receiver's leading and trailing edge, sorted by delay
+  (ties by attach order) — instead of two scheduled events per receiver.
+  The wave reserves exactly the seqs per-edge scheduling in attach order
+  would have used and dispatches each edge at its exact ``(time,
+  priority, seq)`` key, so the dispatch sequence is unchanged.  In an
+  all-static world the cached fan-out *is* the wave's template, so a
+  repeat transmit allocates one object; mobile fan-outs sort their
+  survivors once per transmit.  When float rounding could collapse two
+  delays onto one time against their attach order
+  (:meth:`~repro.sim.kernel.WaveTemplate.fits`), the edges are scheduled
+  one by one instead.
 
-All paths produce bit-identical event schedules (same times, powers and
-tie-breaking order — candidates are visited in attach order); the
-brute-force scan remains the default and serves as the oracle in
-``tests/phy/test_channel_equivalence.py``.  The spatial index requires that
-radio positions change only through mobility models whose speed is bounded
-by ``max_speed_mps`` — ``attach`` rejects radios without a mobility model
-(a bare ``position_fn`` could teleport, silently breaking the culling
-guarantee) and radios whose model reports a higher bound.
+All paths produce bit-identical dispatch sequences (same times, powers and
+tie-breaking order); the brute-force scan remains the default, schedules
+every edge as its own event, and serves as the PHY and dispatch oracle in
+``tests/phy/test_channel_equivalence.py`` and ``tests/differential/``.
+The spatial index requires that radio positions change only through
+mobility models whose speed is bounded by ``max_speed_mps`` — ``attach``
+rejects radios without a mobility model (a bare ``position_fn`` could
+teleport, silently breaking the culling guarantee) and radios whose model
+reports a higher bound.
 
 The paper's PCMAC uses **two** channels with identical propagation (its
 assumption 1): instantiate one ``Channel`` for data and one for power-control
@@ -98,7 +98,7 @@ import numpy as np
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import PropagationModel, distance
 from repro.phy.radio import Radio
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import LEAD_PRIORITY, TRAIL_PRIORITY, Simulator, WaveTemplate
 from repro.units import SPEED_OF_LIGHT
 
 
@@ -120,38 +120,41 @@ _BATCH_PROBE_LINKS = 4096
 _BATCH_MIN_CULL_NUM = 1
 _BATCH_MIN_CULL_DEN = 4
 
-#: Minimum candidates in a block before the SoA fan-out pays for itself;
-#: below this the scalar loop's per-candidate cost beats the numpy call
-#: overhead (same crossover territory as ``_BATCH_MIN_MISSES`` but the SoA
-#: pass replaces the whole loop, so the bar is higher).
-_SOA_MIN = 64
-
-#: Upper bound on memoised static fan-outs (keys are ``(src_seq,
+#: Upper bound on memoised static wave templates (keys are ``(src_seq,
 #: tx_power)``, so continuous-power protocols could otherwise grow the
 #: cache without bound).  Generous enough for 10k sources at the paper's
 #: ten discrete power levels; on overflow the cache is simply cleared and
 #: rebuilt on demand — correctness never depends on a hit.
 _STATIC_FANOUT_CAP = 131072
 
+#: Profiling labels of the leading and trailing signal edges.
+_EDGE_LABELS = ("phy.sig_start", "phy.sig_end")
+
+#: Static-fan-out cache miss marker (None is a cached "nothing in range").
+_MISSING = object()
+
 
 class _RadioEntry:
     """Channel-side bookkeeping for one attached radio.
 
     ``seq`` is the attach sequence number: candidate receivers are visited
-    in ascending ``seq`` so the indexed fan-out schedules events in exactly
-    the order the brute-force list scan would (the event queue breaks
-    same-time ties by insertion order).  Re-attaching assigns a fresh
-    ``seq``, matching the list's remove-then-append semantics.
+    in ascending ``seq`` so the indexed fan-out numbers its edges exactly
+    as the brute-force list scan would (the event queue breaks same-time
+    ties by insertion order).  Re-attaching assigns a fresh ``seq``,
+    matching the list's remove-then-append semantics.
 
     ``static`` is set when the mobility model's speed bound is 0 m/s — the
     position (and hence the movement epoch) can never change, so the hot
     fan-out loop reads the attach-time sample instead of polling.
     ``poll_mob`` is the mobility model's bound ``poll`` — the fan-out calls
     it directly, skipping one Python frame per candidate per transmit.
+    ``lead`` / ``trail`` are the radio's ``signal_start`` / ``signal_end``
+    bound once per attach and shared by every wave template naming the radio.
     """
 
     __slots__ = (
-        "radio", "seq", "mobility", "poll_mob", "pos", "epoch", "cell", "static"
+        "radio", "seq", "mobility", "poll_mob", "pos", "epoch", "cell", "static",
+        "lead", "trail",
     )
 
     def __init__(self, radio: Radio, seq: int, now: float) -> None:
@@ -163,6 +166,8 @@ class _RadioEntry:
             self.poll_mob = self.mobility.poll
             self.pos, self.epoch = self.poll_mob(now)
             self.static = self.mobility.max_speed_mps() == 0.0
+            self.lead = radio.signal_start
+            self.trail = radio.signal_end
         self.cell: tuple[int, int] | None = None
 
     def poll(self, now: float) -> tuple[tuple[float, float], int]:
@@ -177,6 +182,15 @@ def _entry_seq(entry: _RadioEntry) -> int:
     return entry.seq
 
 
+def _template(slots: list[tuple]) -> WaveTemplate | None:
+    """The wave template of attach-ordered ``(delay, lead, trail, rx_power)``
+    survivor tuples, or None when nothing survived."""
+    if not slots:
+        return None
+    delays, leads, trails, powers = zip(*slots)
+    return WaveTemplate(delays, leads, trails, powers)
+
+
 class Channel:
     """A broadcast medium connecting radios under one propagation model.
 
@@ -187,8 +201,9 @@ class Channel:
             culled entirely.
         model_propagation_delay: offset arrivals by distance / c when True.
         name: label for traces ("data" / "control").
-        spatial_index: enable the uniform-grid fan-out (see module docs).
-            The default False keeps the brute-force scan — the oracle path.
+        spatial_index: enable the uniform-grid fan-out with waves (see
+            module docs).  The default False keeps the brute-force scan —
+            the oracle path.
         max_tx_power_w: largest transmit power any frame on this channel
             will use; required when ``spatial_index`` is set (it determines
             the maximum reach and hence the grid cell size).  Transmitting
@@ -196,11 +211,6 @@ class Channel:
         max_speed_mps: upper bound on any attached radio's speed; pads the
             cell size so grid staleness can never miss a reachable radio.
         reindex_interval_s: maximum grid staleness for mobile radios.
-        fanout: ``"scalar"`` (default) or ``"soa"``.  ``"soa"`` enables the
-            vectorised struct-of-arrays pass (see module docs); it only
-            engages when the spatial index is active *and* the propagation
-            model is ``bulk_exact``, falling back to the scalar paths
-            otherwise, so the event schedule is bit-identical either way.
     """
 
     def __init__(
@@ -215,10 +225,7 @@ class Channel:
         max_tx_power_w: float | None = None,
         max_speed_mps: float = 0.0,
         reindex_interval_s: float = 1.0,
-        fanout: str = "scalar",
     ) -> None:
-        if fanout not in ("scalar", "soa"):
-            raise ValueError(f"unknown fanout {fanout!r} (expected 'scalar' or 'soa')")
         if interference_floor_w <= 0:
             raise ValueError("interference_floor_w must be positive")
         self.sim = sim
@@ -261,14 +268,10 @@ class Channel:
         self._batch_culled = 0
         #: All-static fast path: with ``max_speed_mps == 0`` every attached
         #: radio is pinned (attach enforces the bound), so the fan-out of a
-        #: given (source, tx power) never changes — cache it as a replayable
-        #: ``[(rx, rx_power, delay), ...]`` list (attach order).  Any attach
-        #: or detach invalidates the whole cache.
-        self._static_fanouts: dict[tuple[int, float], list] = {}
-        #: SoA mirror of ``_blocks``: block key → (xs, ys, seqs, radios)
-        #: arrays in attach order, or None when the block is ineligible
-        #: (too small / contains a mobile radio).  Cleared with ``_blocks``.
-        self._soa_arrays: dict[tuple[int, int], tuple | None] = {}
+        #: given (source, tx power) never changes — cache it as the wave
+        #: template every such transmission launches (None when nothing is
+        #: in range).  Any attach or detach invalidates the whole cache.
+        self._static_fanouts: dict[tuple[int, float], WaveTemplate | None] = {}
         self._max_speed_mps = max_speed_mps
         self._reindex_interval_s = reindex_interval_s
         self._reindex_due_at = math.inf
@@ -285,24 +288,11 @@ class Channel:
             self._cell_size = reach + max_speed_mps * reindex_interval_s
             if max_speed_mps > 0:
                 self._reindex_due_at = 0.0  # refresh on the first transmit
-        self._fanout = fanout
-        #: SoA engages only where exactness is provable: indexed fan-out +
-        #: a propagation model whose bulk path is bit-identical.
-        self._soa_ok = (
-            fanout == "soa"
-            and self._cell_size is not None
-            and getattr(propagation, "bulk_exact", False)
-        )
 
     @property
     def spatial_index(self) -> bool:
         """Whether the grid-indexed fan-out is active."""
         return self._cell_size is not None
-
-    @property
-    def fanout(self) -> str:
-        """The requested fan-out strategy: ``"scalar"`` or ``"soa"``."""
-        return self._fanout
 
     @property
     def cell_size_m(self) -> float | None:
@@ -354,13 +344,13 @@ class Channel:
         Semantics: detaching only stops *future* transmissions from reaching
         the radio (and removes it from the spatial index / gain cache).
         Signal edges already scheduled — the ``signal_start`` / ``signal_end``
-        events of frames in flight at detach time — still fire at the
-        detached radio, mirroring physics: energy already en route arrives
-        regardless of any bookkeeping change, and delivering the matching
-        ``signal_end`` keeps the radio's interference accounting consistent
-        if it is later re-attached.  Callers that want a radio to go
-        genuinely deaf mid-frame must model that at the radio, not by
-        detaching.
+        edges of frames in flight at detach time, whether queued one by one
+        or inside a wave — still fire at the detached radio, mirroring
+        physics: energy already en route arrives regardless of any
+        bookkeeping change, and delivering the matching ``signal_end`` keeps
+        the radio's interference accounting consistent if it is later
+        re-attached.  Callers that want a radio to go genuinely deaf
+        mid-frame must model that at the radio, not by detaching.
         """
         self._radios.remove(radio)
         entry = self._entries.pop(radio, None)
@@ -368,7 +358,6 @@ class Channel:
             if entry.cell is not None:
                 self._cells[entry.cell].remove(entry)
             self._blocks.clear()
-            self._soa_arrays.clear()
             self._static_fanouts.clear()
             seq = entry.seq
             self._gains.pop(seq, None)
@@ -390,7 +379,6 @@ class Channel:
         bucket.append(entry)
         entry.cell = cell
         self._blocks.clear()
-        self._soa_arrays.clear()
 
     def _reindex(self, now: float) -> None:
         """Re-bucket every radio from a fresh position sample.
@@ -424,39 +412,17 @@ class Channel:
             self._blocks[block_key] = candidates
         return candidates
 
-    def _soa_block(self, block_key: tuple[int, int]) -> tuple | None:
-        """SoA arrays ``(xs, ys, seqs, radios)`` for one block, or None.
-
-        None marks the block ineligible: smaller than ``_SOA_MIN`` or
-        containing a mobile radio (whose position the flat arrays could not
-        track).  The verdict is memoised alongside ``_blocks`` and cleared
-        with it on any grid mutation.
-        """
-        if block_key in self._soa_arrays:
-            return self._soa_arrays[block_key]
-        candidates = self._block_candidates(block_key)
-        n = len(candidates)
-        if n < _SOA_MIN or not all(c.static for c in candidates):
-            self._soa_arrays[block_key] = None
-            return None
-        xs = np.fromiter((c.pos[0] for c in candidates), dtype=float, count=n)
-        ys = np.fromiter((c.pos[1] for c in candidates), dtype=float, count=n)
-        seqs = [c.seq for c in candidates]
-        radios = [c.radio for c in candidates]
-        soa = (xs, ys, seqs, radios)
-        self._soa_arrays[block_key] = soa
-        return soa
-
     def _build_static_fanout(
         self, entry: _RadioEntry, tx_power: float
-    ) -> list[tuple[Radio, float, float]]:
-        """Survivor list ``[(rx, rx_power, delay)]`` for one static source.
+    ) -> WaveTemplate | None:
+        """Wave template for one static source, or None if nothing is in range.
 
-        Computed exactly as the dynamic scalar path would (same candidate
-        block, same attach-order visit, same cache-consistent ``gain_at``
-        values, same ``tx_power * gain`` products), so replaying it is
-        bit-identical to re-running the loop.  Only valid in an all-static
-        world (``max_speed_mps == 0``); invalidated on attach/detach.
+        Survivors are computed exactly as the dynamic scalar path would
+        (same candidate block, same attach-order visit, same
+        cache-consistent ``gain_at`` values, same ``tx_power * gain``
+        products), so replaying the template is bit-identical to re-running
+        the loop.  Only valid in an all-static world (``max_speed_mps ==
+        0``); invalidated on attach/detach.
 
         NOTE: the per-candidate resolve below is deliberately duplicated
         across this method, the scalar path and batch pass 1 of
@@ -485,10 +451,9 @@ class Channel:
         gain_at = self.propagation.gain_at
         model_delay = self.model_propagation_delay
         src_radio = entry.radio
-        out: list[tuple[Radio, float, float]] = []
+        slots: list[tuple] = []
         for cand in candidates:
-            rx = cand.radio
-            if rx is src_radio:
+            if cand.radio is src_radio:
                 continue
             rx_epoch = cand.epoch
             hit = links.get(cand.seq)
@@ -508,44 +473,8 @@ class Channel:
             if rx_power < floor:
                 continue
             delay = dist / SPEED_OF_LIGHT if model_delay else 0.0
-            out.append((rx, rx_power, delay))
-        return out
-
-    def _build_static_fanout_soa(
-        self, entry: _RadioEntry, tx_power: float
-    ) -> list[tuple[Radio, float, float]]:
-        """Vectorised :meth:`_build_static_fanout`, bit-identical output.
-
-        One numpy pass over the block's SoA arrays replaces the scalar
-        per-candidate loop: ``d = sqrt(dx²+dy²)`` mirrors :func:`distance`
-        op-for-op, ``gain_at_many`` is ``bulk_exact`` (the caller checked),
-        and the survivor filter ``tx_power * gain >= floor`` is the scalar
-        cull's exact complement.  Survivor indices come back in attach
-        order because the SoA arrays are built from the attach-ordered
-        block.  Values are converted to Python floats before they can reach
-        a scheduled event (numpy scalars would leak into results and break
-        JSON serialisation).  Falls back to the scalar builder for
-        ineligible blocks.
-        """
-        soa = self._soa_block(entry.cell)
-        if soa is None:
-            return self._build_static_fanout(entry, tx_power)
-        xs, ys, seqs, radios = soa
-        sx, sy = entry.pos
-        dx = xs - sx
-        dy = ys - sy
-        dists = np.sqrt(dx * dx + dy * dy)
-        rx_powers = tx_power * self.propagation.gain_at_many(dists)
-        survivors = np.nonzero(rx_powers >= self.interference_floor_w)[0]
-        model_delay = self.model_propagation_delay
-        src_seq = entry.seq
-        out: list[tuple[Radio, float, float]] = []
-        for i in survivors.tolist():
-            if seqs[i] == src_seq:
-                continue
-            delay = float(dists[i]) / SPEED_OF_LIGHT if model_delay else 0.0
-            out.append((radios[i], float(rx_powers[i]), delay))
-        return out
+            slots.append((delay, cand.lead, cand.trail, rx_power))
+        return _template(slots)
 
     # ------------------------------------------------------------------ TX
 
@@ -558,7 +487,8 @@ class Channel:
             self._fanout_indexed(src, frame)
 
     def _fanout_brute(self, src: Radio, frame: PhyFrame) -> None:
-        """Reference fan-out: scan every radio, recompute every gain."""
+        """Reference fan-out: scan every radio, recompute every gain, and
+        schedule every edge as its own event (the oracle for waves)."""
         sim = self.sim
         now = sim.now
         duration = frame.duration_s
@@ -575,81 +505,43 @@ class Channel:
             delay = 0.0
             if self.model_propagation_delay:
                 delay = distance(src_pos, rx_pos) / SPEED_OF_LIGHT
-            # priority 1 for ends vs. priority 0 for starts at the exact same
-            # instant is unnecessary (start/end of the *same* frame differ by
-            # the airtime), but back-to-back frames can abut: let the earlier
-            # frame's end fire before the next frame's start when times tie.
+            # The start and end of the *same* frame differ by the airtime,
+            # but back-to-back frames can abut: the trailing edge's lower
+            # priority lets the earlier frame's end fire before the next
+            # frame's start when times tie.
             sim.schedule(
                 now + delay,
                 rx.signal_start,
                 args=(frame, rx_power),
-                priority=1,
+                priority=LEAD_PRIORITY,
                 label="phy.sig_start",
-                transient=True,
             )
             sim.schedule(
                 now + delay + duration,
                 rx.signal_end,
                 args=(frame.frame_id,),
-                priority=0,
+                priority=TRAIL_PRIORITY,
                 label="phy.sig_end",
-                transient=True,
             )
 
-    def _fanout_soa(self, entry: _RadioEntry, frame: PhyFrame, now: float) -> bool:
-        """Vectorised per-transmit fan-out for a static source.
-
-        One numpy pass over the block's SoA arrays computes every
-        candidate's distance, gain and received power, then schedules edges
-        only for the survivors — bit-identical to the scalar loop for the
-        same reasons as :meth:`_build_static_fanout_soa` (which shares the
-        arithmetic).  Returns False when the block is ineligible (caller
-        falls through to the scalar/batch paths).  Note the per-link gain
-        cache is neither read nor written here: at SoA block sizes the
-        single vectorised recompute beats a warm per-candidate dict walk,
-        and skipping the cache keeps mixed worlds (this source static,
-        another mobile) coherent for the scalar paths.
-        """
-        soa = self._soa_block(entry.cell)
-        if soa is None:
-            return False
-        xs, ys, seqs, radios = soa
-        sx, sy = entry.pos
-        dx = xs - sx
-        dy = ys - sy
-        dists = np.sqrt(dx * dx + dy * dy)
-        rx_powers = frame.tx_power_w * self.propagation.gain_at_many(dists)
-        survivors = np.nonzero(rx_powers >= self.interference_floor_w)[0]
-        model_delay = self.model_propagation_delay
-        src_seq = entry.seq
-        duration = frame.duration_s
-        frame_id = frame.frame_id
-        schedule = self.sim.schedule
-        for i in survivors.tolist():
-            if seqs[i] == src_seq:
-                continue
-            rx = radios[i]
-            delay = float(dists[i]) / SPEED_OF_LIGHT if model_delay else 0.0
-            t = now + delay
-            schedule(
-                t, rx.signal_start, 1, "phy.sig_start",
-                (frame, float(rx_powers[i])), True,
+    def _emit(self, template: WaveTemplate | None, frame: PhyFrame) -> None:
+        """Queue one transmission's edges (as one wave whenever it fits)."""
+        if template is not None:
+            template.launch(
+                self.sim, frame.duration_s, frame, frame.frame_id, _EDGE_LABELS
             )
-            schedule(
-                t + duration, rx.signal_end, 0, "phy.sig_end", (frame_id,), True,
-            )
-        return True
 
     def _fanout_indexed(self, src: Radio, frame: PhyFrame) -> None:
         """Grid-indexed fan-out with epoch-cached, batch-culled gains.
 
-        Produces the exact event schedule of :meth:`_fanout_brute`: the
+        Produces the exact dispatch sequence of :meth:`_fanout_brute`: the
         candidate set is a superset of every radio above the interference
         floor, gains/distances reuse only values computed from identical
         positions (validated by movement epochs), bulk-evaluated gains are
         used only to cull candidates safely below the floor (scheduled
-        powers are always the scalar ``gain_at`` value), and edges are
-        scheduled in attach order so same-time ties break identically.
+        powers are always the scalar ``gain_at`` value), and survivors are
+        numbered in attach order, so their wave keys are the keys per-edge
+        scheduling would have assigned.
         """
         if frame.tx_power_w > self._max_tx_power_w:
             raise ValueError(
@@ -657,39 +549,23 @@ class Channel:
                 f"max_tx_power_w {self._max_tx_power_w!r} — the spatial index "
                 "cannot guarantee reachability beyond it"
             )
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         if self._max_speed_mps == 0.0:
             # All-static world: the survivor set, received powers and delays
             # for this (source, tx power) can never change — replay the
-            # precomputed fan-out (built through the normal scalar path the
+            # cached wave template (built through the normal scalar path the
             # first time, so every float is bit-identical to it).
             entry = self._entries.get(src)
             if entry is not None:
                 key = (entry.seq, frame.tx_power_w)
                 fanouts = self._static_fanouts
-                hits = fanouts.get(key)
-                if hits is None:
-                    if self._soa_ok:
-                        hits = self._build_static_fanout_soa(entry, frame.tx_power_w)
-                    else:
-                        hits = self._build_static_fanout(entry, frame.tx_power_w)
+                template = fanouts.get(key, _MISSING)
+                if template is _MISSING:
+                    template = self._build_static_fanout(entry, frame.tx_power_w)
                     if len(fanouts) >= _STATIC_FANOUT_CAP:
                         fanouts.clear()
-                    fanouts[key] = hits
-                duration = frame.duration_s
-                frame_id = frame.frame_id
-                schedule = sim.schedule
-                for rx, rx_power, delay in hits:
-                    t = now + delay
-                    schedule(
-                        t, rx.signal_start, 1, "phy.sig_start", (frame, rx_power),
-                        True,
-                    )
-                    schedule(
-                        t + duration, rx.signal_end, 0, "phy.sig_end", (frame_id,),
-                        True,
-                    )
+                    fanouts[key] = template
+                self._emit(template, frame)
                 return
         if now >= self._reindex_due_at:
             self._reindex(now)
@@ -699,8 +575,6 @@ class Channel:
             if entry.static:
                 src_pos = entry.pos
                 src_epoch = entry.epoch
-                if self._soa_ok and self._fanout_soa(entry, frame, now):
-                    return
             else:
                 src_pos, src_epoch = entry.poll(now)
                 self._move_to_cell(entry, src_pos)
@@ -725,10 +599,9 @@ class Channel:
         floor = self.interference_floor_w
         cull_floor = self._cull_floor
         gain_at = self.propagation.gain_at
-        duration = frame.duration_s
         model_delay = self.model_propagation_delay
-        frame_id = frame.frame_id
-        schedule = sim.schedule
+        slots: list[tuple] = []
+        append = slots.append
 
         # Expected cache misses ≈ candidates not yet in the link cache; with
         # a fully warm cache (static scenarios after the first transmit per
@@ -738,12 +611,10 @@ class Channel:
             and links is not None
             and len(candidates) - len(links) >= _BATCH_MIN_MISSES
         ):
-            # Scalar fast path: one pass in attach order, scheduling inline
-            # (identical structure to the historical loop, so dense fields —
-            # where the batch gate has tripped — pay no two-pass overhead).
+            # Scalar fast path: one pass in attach order, so dense fields —
+            # where the batch gate has tripped — pay no two-pass overhead.
             for cand in candidates:
-                rx = cand.radio
-                if rx is src:
+                if cand.radio is src:
                     continue
                 if cand.static:
                     rx_pos = cand.pos
@@ -773,35 +644,20 @@ class Channel:
                 if rx_power < floor:
                     continue
                 delay = dist / SPEED_OF_LIGHT if model_delay else 0.0
-                schedule(
-                    now + delay,
-                    rx.signal_start,
-                    args=(frame, rx_power),
-                    priority=1,
-                    label="phy.sig_start",
-                    transient=True,
-                )
-                schedule(
-                    now + delay + duration,
-                    rx.signal_end,
-                    args=(frame_id,),
-                    priority=0,
-                    label="phy.sig_end",
-                    transient=True,
-                )
+                append((delay, cand.lead, cand.trail, rx_power))
+            self._emit(_template(slots), frame)
             return
 
         # Batch path — pass 1 resolves, in attach order, every candidate to
-        # either an exact (rx, gain, dist) or a sound below-floor cull.
+        # either an exact (cand, gain, dist) or a sound below-floor cull.
         # Cache misses are parked (a placeholder keeps their slot in the
-        # order) and bulk-evaluated, then pass 2 schedules strictly in
-        # attach order, so event sequence numbers match the brute scan.
-        resolved: list[tuple[Radio, float, float] | None] = []
-        append = resolved.append
+        # order) and bulk-evaluated, then pass 2 numbers the survivors
+        # strictly in attach order, as the brute scan would.
+        resolved: list[tuple[_RadioEntry, float, float] | None] = []
+        keep = resolved.append
         misses: list[tuple[int, _RadioEntry, tuple[float, float], int]] = []
         for cand in candidates:
-            rx = cand.radio
-            if rx is src:
+            if cand.radio is src:
                 continue
             if cand.static:
                 rx_pos = cand.pos
@@ -818,10 +674,10 @@ class Channel:
                     gain = gain_at(dist)
                     links[cand.seq] = (rx_epoch, gain, dist, True)
                 if tx_power * gain >= floor:
-                    append((rx, gain, dist))
+                    keep((cand, gain, dist))
                 continue
             misses.append((len(resolved), cand, rx_pos, rx_epoch))
-            append(None)
+            keep(None)
 
         if misses:
             if len(misses) >= _BATCH_MIN_MISSES:
@@ -841,7 +697,7 @@ class Channel:
                     gain = gain_at(dist)
                     links[cand.seq] = (rx_epoch, gain, dist, True)
                     if tx_power * gain >= floor:
-                        resolved[idx] = (cand.radio, gain, dist)
+                        resolved[idx] = (cand, gain, dist)
                 self._batch_links += len(misses)
                 self._batch_culled += culled
                 if (
@@ -857,30 +713,15 @@ class Channel:
                     gain = gain_at(dist)
                     links[cand.seq] = (rx_epoch, gain, dist, True)
                     if tx_power * gain >= floor:
-                        resolved[idx] = (cand.radio, gain, dist)
+                        resolved[idx] = (cand, gain, dist)
 
         for item in resolved:
             if item is None:
                 continue
-            rx, gain, dist = item
-            rx_power = tx_power * gain
+            cand, gain, dist = item
             delay = dist / SPEED_OF_LIGHT if model_delay else 0.0
-            schedule(
-                now + delay,
-                rx.signal_start,
-                args=(frame, rx_power),
-                priority=1,
-                label="phy.sig_start",
-                transient=True,
-            )
-            schedule(
-                now + delay + duration,
-                rx.signal_end,
-                args=(frame_id,),
-                priority=0,
-                label="phy.sig_end",
-                transient=True,
-            )
+            append((delay, cand.lead, cand.trail, tx_power * gain))
+        self._emit(_template(slots), frame)
 
     # --------------------------------------------------------------- queries
 

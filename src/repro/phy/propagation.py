@@ -23,14 +23,14 @@ frozen, hashable and comparable on their declared fields only.
 Exactness contract (``bulk_exact``)
 -----------------------------------
 ``gain_at_many`` is the numpy bulk counterpart of ``gain_at``, used by the
-channel's vectorised fan-out.  A model that sets ``bulk_exact = True``
+channel's batched culling.  A model that sets ``bulk_exact = True``
 guarantees the bulk path is **bit-identical** to the scalar path for every
 distance: both sides are written as the *same sequence* of individually
 correctly-rounded IEEE-754 operations (multiply, divide, sqrt, compare —
 never ``**`` with a float exponent, whose libm/numpy implementations may
 disagree by 1 ulp).  :class:`FreeSpace` and :class:`TwoRayGround` (the
-paper's models) are ``bulk_exact``; the channel may then schedule received
-powers straight from a bulk evaluation.  :class:`LogDistanceShadowing`
+paper's models) are ``bulk_exact``; a caller may then use a bulk evaluation
+wherever the scalar value is required.  :class:`LogDistanceShadowing`
 needs a non-integer power and stays ``bulk_exact = False`` — its bulk gains
 match the scalar path only to ~1 ulp, so callers must use them for
 conservative culling only (the tolerance contract is enforced by
@@ -295,8 +295,8 @@ class LogDistanceShadowing(PropagationModel):
 
     def gain_at_many(self, distances_m) -> np.ndarray:
         """Vectorized gains; *not* ``bulk_exact`` (numpy ``**`` may differ
-        in the last ulp from libm ``pow``), so the SoA fan-out uses this
-        for conservative culling only and recomputes survivors scalar-ly.
+        in the last ulp from libm ``pow``), so callers must use this for
+        conservative culling only and recompute survivors scalar-ly.
         """
         d = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
         return (

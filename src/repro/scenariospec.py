@@ -5,8 +5,8 @@ A :class:`ScenarioSpec` is the single input to
 :class:`~repro.config.ScenarioConfig` plus one :class:`ComponentSpec`
 (component name + params) per scenario slot — ``mac``, ``placement``,
 ``mobility``, ``routing``, ``traffic``, ``propagation``, ``energy``,
-``observability``, ``faults``, ``reception``, ``engine`` — and
-optional explicit flow endpoints.  Because every field is an immutable value type the
+``observability``, ``faults``, ``reception`` — and optional explicit
+flow endpoints.  Because every field is an immutable value type the
 spec is hashable, picklable, and round-trips through JSON without loss::
 
     spec = ScenarioSpec(
@@ -48,15 +48,22 @@ from repro.registry import SLOTS as COMPONENT_SLOTS
 #: 6: the ``reception`` component slot joined the spec (default ``null``).
 #: 7: the ``engine`` component slot joined the spec (default ``default`` —
 #:    heap scheduler, scalar fan-out, no event pooling).
-SCENARIO_SCHEMA_VERSION = 7
+#: 8: the ``engine`` slot left the spec again: every engine was
+#:    dispatch-order preserving, so it only hashed a no-op into every key.
+SCENARIO_SCHEMA_VERSION = 8
 
 #: Older schemas :meth:`ScenarioSpec.from_dict` still reads.  Schema-2/3/4/
 #: 5/6 files simply lack the ``energy`` / ``observability`` / ``faults`` /
-#: ``reception`` / ``engine`` slots, which take their identity-preserving
-#: defaults — the simulated scenario is identical, so old spec.json files
-#: keep working (they hash, like everything this build loads, under the
-#: current schema).
-_READABLE_SCHEMAS = frozenset({2, 3, 4, 5, 6, SCENARIO_SCHEMA_VERSION})
+#: ``reception`` slots, which take their identity-preserving defaults;
+#: files up to schema 7 may carry an ``engine`` slot (:data:`_RETIRED_SLOTS`),
+#: which is ignored — results were bit-identical across engines.  The
+#: simulated scenario is identical, so old spec.json files keep working
+#: (they hash, like everything this build loads, under the current schema).
+_READABLE_SCHEMAS = frozenset({2, 3, 4, 5, 6, 7, SCENARIO_SCHEMA_VERSION})
+
+#: Component slots older schemas had and this one dropped, with the last
+#: schema that had them: read and ignored in files of those schemas.
+_RETIRED_SLOTS = {"engine": 7}
 
 
 def _freeze(value: Any) -> Any:
@@ -221,11 +228,6 @@ class ScenarioSpec:
     observability: ComponentSpec = _component("null")
     faults: ComponentSpec = _component("null")
     reception: ComponentSpec = _component("null")
-    #: Execution-engine knobs (scheduler / fan-out / event pooling).  All
-    #: registered engines are dispatch-order preserving — results are
-    #: bit-identical across engines — but the choice still hashes into the
-    #: content key: a stored result records exactly what ran.
-    engine: ComponentSpec = _component("default")
     #: Explicit (src, dst) flow endpoints; None = random distinct pairs.
     flow_pairs: tuple[tuple[int, int], ...] | None = None
 
@@ -317,7 +319,11 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown scenario field(s): {', '.join(sorted(unknown))}"
             )
-        components = dict(data.get("components", {}))
+        components = {
+            slot: spec
+            for slot, spec in data.get("components", {}).items()
+            if schema > _RETIRED_SLOTS.get(slot, -1)
+        }
         bad_slots = set(components) - set(COMPONENT_SLOTS)
         if bad_slots:
             raise ValueError(

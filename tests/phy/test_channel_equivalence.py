@@ -1,9 +1,11 @@
-"""Spatial-index channel vs brute-force oracle: exact schedule equivalence.
+"""Spatial-index channel vs brute-force oracle: exact dispatch equivalence.
 
-The grid-indexed fan-out (``Channel(spatial_index=True)``) must produce the
-*exact* event schedule of the brute-force all-radios scan — same arrival
-times, same received powers (bit-identical floats), same delivery order —
-for any placement, any mobility, any transmission pattern.  These tests
+The grid-indexed fan-out (``Channel(spatial_index=True)``), which queues
+each transmission's edges as one kernel wave, must produce the *exact*
+dispatch sequence of the brute-force all-radios scan, which schedules every
+edge as its own event — same arrival times, same received powers
+(bit-identical floats), same delivery order — for any placement, any
+mobility, any transmission pattern.  These tests
 build two mirrored worlds (identically seeded mobility, identical
 transmission scripts), run both, and compare the recorded signal-edge logs
 with plain ``==``.
@@ -53,7 +55,7 @@ class RecordingRadio:
         self.log.append(("end", self.sim.now, self.node_id, frame_id))
 
 
-def build_world(seed, n, side_m, mobile, spatial_index, fanout="scalar"):
+def build_world(seed, n, side_m, mobile, spatial_index):
     """One (sim, channel, radios, log) world; same seed ⇒ same world."""
     sim = Simulator()
     chan = Channel(
@@ -64,7 +66,6 @@ def build_world(seed, n, side_m, mobile, spatial_index, fanout="scalar"):
         max_tx_power_w=MAX_POWER_W,
         max_speed_mps=SPEED_MPS if mobile else 0.0,
         reindex_interval_s=0.5,
-        fanout=fanout,
     )
     rng = np.random.default_rng(seed)
     mob_cfg = MobilityConfig(
@@ -101,8 +102,8 @@ def make_script(seed, n, tx_count):
     ]
 
 
-def run_script(seed, n, side_m, mobile, spatial_index, script, fanout="scalar"):
-    sim, chan, radios, log = build_world(seed, n, side_m, mobile, spatial_index, fanout)
+def run_script(seed, n, side_m, mobile, spatial_index, script):
+    sim, chan, radios, log = build_world(seed, n, side_m, mobile, spatial_index)
     for t, src, power, size, fid in script:
         frame = PhyFrame(
             payload=None,
@@ -122,11 +123,7 @@ def assert_equivalent(seed, n, side_m, mobile, tx_count=40, require_events=False
     script = make_script(seed, n, tx_count)
     _, brute = run_script(seed, n, side_m, mobile, False, script)
     _, indexed = run_script(seed, n, side_m, mobile, True, script)
-    _, soa = run_script(seed, n, side_m, mobile, True, script, fanout="soa")
     assert brute == indexed
-    # The struct-of-arrays vector pass must be bit-identical to the oracle
-    # too (TwoRayGround declares bulk_exact — see repro.phy.propagation).
-    assert brute == soa
     if require_events:
         # These geometries are dense enough that an all-empty log would mean
         # the equality assertion above was vacuous.
@@ -166,11 +163,11 @@ class TestScheduleEquivalence:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_dense_block_static_seeds(self, seed):
-        """Candidate blocks exceed ``_SOA_MIN`` so the vector pass engages.
+        """Dense static blocks: waves of ~100 edges replayed from templates.
 
-        The smaller worlds above stay below the SoA minimum block size and
-        therefore only cover its scalar fallback; this geometry packs ≥ 64
-        static radios into the 3×3 cell blocks around most transmitters.
+        This geometry packs ≥ 64 static radios into the 3×3 cell blocks
+        around most transmitters, so many transmissions overlap and their
+        waves interleave edge by edge.
         """
         assert_equivalent(
             seed, n=150, side_m=1500.0, mobile=False, tx_count=60,

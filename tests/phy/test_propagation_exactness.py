@@ -1,9 +1,9 @@
 """The ``bulk_exact`` contract: scalar vs numpy propagation bit-identity.
 
-``Channel``'s SoA fan-out schedules received powers straight from
-``gain_at_many`` when the model advertises ``bulk_exact = True``; a single
-ulp of divergence between the scalar and bulk paths would break the
-bit-identity guarantee the differential suite enforces on whole
+A model that advertises ``bulk_exact = True`` promises that
+``gain_at_many`` equals ``gain_at`` bit for bit, so a caller may use bulk
+values wherever scalar ones are required; a single ulp of divergence would
+break the bit-identity guarantee the differential suite enforces on whole
 ``ExperimentResult``s.  These tests pin the contract at its source:
 
 * :class:`FreeSpace` and :class:`TwoRayGround` — exact equality on a wide

@@ -105,13 +105,13 @@ class TestCancellation:
         """Regression: Event.cancel() alone must keep len(queue) correct.
 
         Historically the count only stayed correct when cancellation went
-        through Simulator.cancel (which called note_cancelled); a direct
+        through Simulator.cancel (which also notified the queue); a direct
         event.cancel() silently corrupted ``pending_events``.
         """
         q = EventQueue()
         ev = q.push(1.0, lambda: None)
         q.push(2.0, lambda: None)
-        ev.cancel()  # no note_cancelled call — bookkeeping is self-contained
+        ev.cancel()  # no queue call — bookkeeping is self-contained
         assert len(q) == 1
         assert q.pop() is not None
         assert len(q) == 0
@@ -123,15 +123,6 @@ class TestCancellation:
         ev.cancel()
         ev.cancel()
         assert len(q) == 0
-
-    def test_note_cancelled_is_a_noop(self):
-        """The legacy hook must not double-count on top of Event.cancel."""
-        q = EventQueue()
-        ev = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        ev.cancel()
-        q.note_cancelled()
-        assert len(q) == 1
 
     def test_peek_time_skips_cancelled(self):
         q = EventQueue()

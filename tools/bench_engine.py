@@ -12,14 +12,16 @@ Grid: protocol (basic, pcmac) × mobility (static, mobile) × N ∈ {10, 50,
 200}, matching the paper's Section IV environment (the sim horizon shrinks
 as N grows so every cell costs roughly the same wall time), plus
 mega-scale rows at N ∈ {2000, 10000} (static, paper density — the field
-side grows ∝ √(N/50)) where each cell is run under both the ``default``
-engine (binary heap, scalar fan-out) and the ``turbo`` engine (calendar
-queue, SoA fan-out, pooled events) and the event counts are asserted
-identical — the bench doubles as a mega-scale identity gate.
+side grows ∝ √(N/50)).  Every cell runs the default build: spatial-index
+fan-out with one kernel wave per transmission.
+
+``--smoke-mega`` is the mega-scale identity gate: one N=2000 cell run
+with waves and with the brute-force channel (every signal edge its own
+event); ``events_executed`` and the result digest must match.
 
     PYTHONPATH=src python tools/bench_engine.py                 # writes BENCH_engine.json
     PYTHONPATH=src python tools/bench_engine.py --repeat 5 --out /tmp/e.json
-    PYTHONPATH=src python tools/bench_engine.py --smoke-mega    # CI: one N=2000 round
+    PYTHONPATH=src python tools/bench_engine.py --smoke-mega    # CI: N=2000 identity
     # compare against a previous run (e.g. one taken on an older commit):
     PYTHONPATH=src python tools/bench_engine.py --baseline OLD.json
 
@@ -32,10 +34,12 @@ per-cell speedup so the perf trajectory is a checked-in number.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,7 +53,7 @@ from bench_grid import MEGA_SIZES  # noqa: E402
 from repro.builder import NetworkBuilder  # noqa: E402
 from repro.config import MobilityConfig, ScenarioConfig  # noqa: E402
 from repro.experiments.scenario import build_network  # noqa: E402
-from repro.scenariospec import ComponentSpec, ScenarioSpec  # noqa: E402
+from repro.scenariospec import ScenarioSpec  # noqa: E402
 
 #: Simulated horizon per network size [s] — sized so each cell takes on the
 #: order of a second of wall time and the grid stays runnable in CI-ish time.
@@ -61,8 +65,6 @@ SEED = 7
 #: Mega-scale horizons [s]: traffic starts at t=1.0 s, so these buy a short
 #: steady-state window while keeping a 10k-node cell to ~a minute of wall.
 MEGA_DURATIONS_S = {2000: 1.6, 10000: 1.3}
-#: Engines A/B-ed on every mega cell.
-MEGA_ENGINES = ("default", "turbo")
 
 
 def run_cell(protocol: str, mobile: bool, n: int, repeat: int) -> dict:
@@ -96,44 +98,40 @@ def run_cell(protocol: str, mobile: bool, n: int, repeat: int) -> dict:
     }
 
 
-def run_mega_cell(protocol: str, n: int, repeat: int) -> dict:
-    """One mega row: both engines, best-of-``repeat``, identical events.
-
-    Fields are density-matched to the paper's Section IV (the field side
-    scales ∝ √(N/50) from the 50-node 1000 m square).
-    """
-    duration = MEGA_DURATIONS_S[n]
+def mega_spec(protocol: str, n: int) -> ScenarioSpec:
+    """A static world at the paper's Section IV density (the field side
+    scales ∝ √(N/50) from the 50-node 1000 m square)."""
     side = 1000.0 * math.sqrt(n / 50.0)
+    cfg = replace(
+        ScenarioConfig(),
+        node_count=n,
+        duration_s=MEGA_DURATIONS_S[n],
+        seed=SEED,
+        mobility=MobilityConfig(field_width_m=side, field_height_m=side),
+    )
+    return ScenarioSpec.from_legacy(cfg, protocol, mobile=False)
+
+
+def run_mega_cell(protocol: str, n: int, repeat: int) -> dict:
+    """One mega row: best-of-``repeat``, identical event counts asserted."""
+    spec = mega_spec(protocol, n)
+    duration = spec.cfg.duration_s
     events = None
-    rates: dict[str, float] = {}
-    for engine in MEGA_ENGINES:
-        best = None
-        for _ in range(repeat):
-            cfg = replace(
-                ScenarioConfig(),
-                node_count=n,
-                duration_s=duration,
-                seed=SEED,
-                mobility=MobilityConfig(field_width_m=side, field_height_m=side),
+    best = None
+    for _ in range(repeat):
+        net = NetworkBuilder(spec).build()
+        t0 = time.perf_counter()
+        net.sim.run_until(duration)
+        wall = time.perf_counter() - t0
+        executed = net.sim.events_executed
+        if events is None:
+            events = executed
+        elif executed != events:
+            raise AssertionError(
+                f"non-deterministic run at n={n}: {executed} events vs {events}"
             )
-            spec = replace(
-                ScenarioSpec.from_legacy(cfg, protocol, mobile=False),
-                engine=ComponentSpec(engine),
-            )
-            net = NetworkBuilder(spec).build()
-            t0 = time.perf_counter()
-            net.sim.run_until(duration)
-            wall = time.perf_counter() - t0
-            executed = net.sim.events_executed
-            if events is None:
-                events = executed
-            elif executed != events:
-                raise AssertionError(
-                    f"engine divergence at n={n}: {executed} events vs {events}"
-                )
-            if best is None or wall < best:
-                best = wall
-        rates[engine] = events / best
+        if best is None or wall < best:
+            best = wall
     return {
         "scenario": f"{protocol}-static-n{n}",
         "protocol": protocol,
@@ -141,12 +139,36 @@ def run_mega_cell(protocol: str, n: int, repeat: int) -> dict:
         "n": n,
         "mega": True,
         "sim_duration_s": duration,
-        "field_side_m": round(side, 1),
+        "field_side_m": round(spec.cfg.mobility.field_width_m, 1),
         "events": events,
-        "default_events_per_sec": round(rates["default"], 1),
-        "turbo_events_per_sec": round(rates["turbo"], 1),
-        "turbo_speedup": round(rates["turbo"] / rates["default"], 2),
+        "wall_s": round(best, 4),
+        "events_per_sec": round(events / best, 1),
     }
+
+
+def mega_identity_smoke(n: int = 2000) -> int:
+    """Waves vs the brute per-edge channel on one mega cell: same
+    ``events_executed``, same result digest.  Returns a process exit code."""
+    spec = mega_spec("basic", n)
+    seen = {}
+    for name, spatial_index in (("waves", True), ("brute", False)):
+        net = NetworkBuilder(spec, spatial_index=spatial_index).build()
+        result = net.run()
+        fields = asdict(result)
+        fields.pop("wallclock_s")
+        blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        seen[name] = (result.events_executed, digest)
+        print(
+            f"{name:>6} n={n}  {result.events_executed:>9d} events  "
+            f"{result.events_executed / result.wallclock_s:>10,.0f} ev/s  "
+            f"digest {digest[:16]}"
+        )
+    if seen["waves"] != seen["brute"]:
+        print("mega smoke FAILED: waves and per-edge events diverge")
+        return 1
+    print("mega smoke OK: identical events_executed and result digests")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -163,9 +185,9 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--smoke-mega", action="store_true",
-        help="CI smoke: one single-repeat N=2000 mega cell (both engines, "
-        "event counts asserted identical), no file written unless --out is "
-        "given explicitly",
+        help="CI smoke: one N=2000 mega cell with waves and with the brute "
+        "per-edge channel, events_executed and result digests asserted "
+        "identical; writes no file",
     )
     ap.add_argument(
         "--baseline",
@@ -175,15 +197,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.smoke_mega:
-        row = run_mega_cell("basic", 2000, repeat=1)
-        print(
-            f"{row['scenario']:>20}  {row['events']:>9d} events  "
-            f"default {row['default_events_per_sec']:>10,.0f} ev/s  "
-            f"turbo {row['turbo_events_per_sec']:>10,.0f} ev/s  "
-            f"({row['turbo_speedup']:.2f}x)"
-        )
-        print("mega smoke OK: engines dispatched identical event counts")
-        return 0
+        return mega_identity_smoke()
 
     results = []
     for protocol in PROTOCOLS:
@@ -202,14 +216,12 @@ def main(argv=None) -> int:
                 results.append(row)
                 print(
                     f"{row['scenario']:>20}  {row['events']:>9d} events  "
-                    f"default {row['default_events_per_sec']:>10,.0f} ev/s  "
-                    f"turbo {row['turbo_events_per_sec']:>10,.0f} ev/s  "
-                    f"({row['turbo_speedup']:.2f}x)"
+                    f"{row['wall_s']:7.3f} s  {row['events_per_sec']:>10,.0f} ev/s"
                 )
 
     payload = {
         "benchmark": "engine_whole_run",
-        "schema": 2,
+        "schema": 3,
         "generated_by": "tools/bench_engine.py",
         "config": {
             "repeat": args.repeat,
@@ -221,9 +233,9 @@ def main(argv=None) -> int:
             },
             "unit": "events per second of wall time, whole run (build excluded)",
             "note": (
-                "mega rows (mega: true) run static worlds at paper density "
-                "under both the default and turbo engines; event counts are "
-                "asserted identical across engines"
+                "every cell runs the spatial index with one kernel wave per "
+                "transmission; mega rows (mega: true) run static worlds at "
+                "paper density"
             ),
         },
         "results": results,

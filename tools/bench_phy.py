@@ -2,8 +2,8 @@
 """Measure PHY channel fan-out performance and dump ``BENCH_phy.json``.
 
 Times ``Channel.transmit`` (fan-out + signal-edge dispatch) for the
-brute-force scan, the spatial index and the struct-of-arrays vector pass
-across the shared ``benchmarks/bench_grid.py`` sweep — the classic
+brute-force scan (one event per edge) and the spatial index (one wave per
+transmission) across the shared ``benchmarks/bench_grid.py`` sweep — the classic
 N × placement grid plus the mega-scale columns N ∈ {2000, 10000} (whose
 world builders ``benchmarks/test_channel_fanout.py`` provides), then
 writes a machine-readable summary to the repo root so the perf trajectory
@@ -16,7 +16,7 @@ is tracked across PRs:
 Each cell reports the best-of-``--repeat`` mean microseconds per transmit
 (best-of damps scheduler noise; the mean is over ``--rounds`` rounds of
 ``TX_SAMPLE`` transmissions each).  Mega rows omit the brute column — the
-O(N) scan at N = 10 000 is the pathology the vectorized core exists to
+O(N) scan at N = 10 000 is the pathology the spatial index exists to
 avoid, and timing it adds minutes without information.
 """
 
@@ -59,19 +59,16 @@ def measure_cell(
     n: int, placement: str, density: float, modes: tuple[str, ...],
     rounds: int, repeat: int,
 ) -> dict:
-    """One grid row: per-mode µs/tx plus speedups over the slowest baseline."""
+    """One grid row: per-mode µs/tx plus the index's speedup over brute."""
     row: dict = {"n": n, "placement": placement}
     timed = {m: time_mode(n, density, m, rounds, repeat) for m in modes}
     for mode, us in timed.items():
         row[f"{mode}_us_per_tx"] = round(us, 2)
+    parts = "   ".join(f"{m} {us:8.1f} us/tx" for m, us in timed.items())
     if "brute" in timed:
         row["speedup"] = round(timed["brute"] / timed["indexed"], 2)
-        row["soa_speedup"] = round(timed["brute"] / timed["soa"], 2)
-    else:
-        # Mega rows: the SoA win is reported over the spatial index.
-        row["soa_speedup"] = round(timed["indexed"] / timed["soa"], 2)
-    parts = "   ".join(f"{m} {us:8.1f} us/tx" for m, us in timed.items())
-    print(f"{placement:>6} n={n:<5d} {parts}   soa_speedup {row['soa_speedup']:5.1f}x")
+        parts += f"   speedup {row['speedup']:5.1f}x"
+    print(f"{placement:>6} n={n:<5d} {parts}")
     return row
 
 
@@ -94,20 +91,20 @@ def main(argv=None) -> int:
     for placement, density in sorted(DENSITIES.items()):
         for n in SIZES:
             results.append(measure_cell(
-                n, placement, density, ("brute", "indexed", "soa"),
+                n, placement, density, ("brute", "indexed"),
                 args.rounds, args.repeat,
             ))
         if args.no_mega:
             continue
         for n in MEGA_SIZES:
             results.append(measure_cell(
-                n, placement, density, ("indexed", "soa"),
+                n, placement, density, ("indexed",),
                 args.mega_rounds, args.repeat,
             ))
 
     payload = {
         "benchmark": "phy_channel_fanout",
-        "schema": 2,
+        "schema": 3,
         "generated_by": "tools/bench_phy.py",
         "config": {
             "tx_per_round": TX_SAMPLE,
@@ -116,8 +113,8 @@ def main(argv=None) -> int:
             "repeat": args.repeat,
             "unit": "microseconds per transmit (fan-out + edge dispatch)",
             "note": (
-                "mega rows (n >= 2000) omit the brute column; soa_speedup "
-                "is over brute on classic rows, over indexed on mega rows"
+                "indexed = spatial index with one wave per transmission; "
+                "mega rows (n >= 2000) omit the brute column"
             ),
         },
         "results": results,

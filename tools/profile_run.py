@@ -51,11 +51,8 @@ def main(argv=None) -> int:
     ap.add_argument("--top", type=int, default=20, help="rows to print")
     ap.add_argument(
         "--brute-force", action="store_true",
-        help="disable the spatial-index fan-out (profile the oracle path)",
-    )
-    ap.add_argument(
-        "--reference-kernel", action="store_true",
-        help="use the unfused peek+pop kernel loop (profile the oracle path)",
+        help="disable the spatial-index fan-out and its waves "
+        "(profile the per-edge oracle path)",
     )
     ap.add_argument("--dump", default=None, help="write raw pstats to this path")
     ap.add_argument(
@@ -73,11 +70,7 @@ def main(argv=None) -> int:
         f"duration={spec.cfg.duration_s}s seed={spec.cfg.seed}"
     )
 
-    net = NetworkBuilder(
-        spec,
-        spatial_index=not args.brute_force,
-        fused_kernel=not args.reference_kernel,
-    ).build()
+    net = NetworkBuilder(spec, spatial_index=not args.brute_force).build()
 
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
