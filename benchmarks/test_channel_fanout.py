@@ -12,6 +12,11 @@ sizes N ∈ {10, 50, 200, 800} plus the mega-scale columns N ∈ {2000,
   field is inside one 3×3 cell block, so the index's win comes from the
   cached wave templates and their cheap dispatch rather than culling.
 
+Those worlds are static.  One more row, **moving**, puts N = 50 nodes at
+the dense (paper) density on random-waypoint legs at the paper's 3 m/s
+with no pause, so the world is never still: every transmit resolves its
+block afresh from the leg arrays instead of replaying a template.
+
 Radios are inert sinks so the numbers isolate the channel (the radio state
 machine is benchmarked separately in ``test_engine_microbench.py``).
 ``tools/bench_phy.py`` reuses these builders to dump the cross-PR
@@ -26,14 +31,19 @@ import numpy as np
 import pytest
 from bench_grid import DENSITIES, MEGA_SIZES, SIZES, TX_SAMPLE
 
-from repro.config import PhyConfig
+from repro.config import MobilityConfig, PhyConfig
 from repro.mobility.static import StaticMobility
+from repro.mobility.waypoint import RandomWaypoint
 from repro.phy.channel import Channel
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import TwoRayGround
 from repro.sim.kernel import Simulator
 
 PHY = PhyConfig()
+
+#: The moving row: node count, and the random-waypoint speed [m/s].
+MOVING_N = 50
+MOVING_SPEED_MPS = 3.0
 
 
 class _SinkRadio:
@@ -60,8 +70,11 @@ class _SinkRadio:
         pass
 
 
-def build_fanout_world(n: int, density: float, spatial: bool, seed: int = 7):
-    """A static world of ``n`` sink radios at the given node density."""
+def build_fanout_world(
+    n: int, density: float, spatial: bool, seed: int = 7, moving: bool = False
+):
+    """A world of ``n`` sink radios at the given node density: static, or
+    with ``moving`` on random-waypoint legs that never pause."""
     side = math.sqrt(n / density)
     sim = Simulator()
     chan = Channel(
@@ -70,12 +83,21 @@ def build_fanout_world(n: int, density: float, spatial: bool, seed: int = 7):
         interference_floor_w=PHY.interference_floor_w,
         spatial_index=spatial,
         max_tx_power_w=PHY.max_power_w,
+        max_speed_mps=MOVING_SPEED_MPS if moving else 0.0,
+    )
+    legs = MobilityConfig(
+        speed_mps=MOVING_SPEED_MPS, pause_s=0.0, field_width_m=side,
+        field_height_m=side,
     )
     rng = np.random.default_rng(seed)
     radios = []
     for i in range(n):
         pos = (float(rng.uniform(0.0, side)), float(rng.uniform(0.0, side)))
-        radio = _SinkRadio(sim, i, StaticMobility(pos))
+        if moving:
+            mobility = RandomWaypoint(np.random.default_rng(seed * 1009 + i), legs, pos)
+        else:
+            mobility = StaticMobility(pos)
+        radio = _SinkRadio(sim, i, mobility)
         chan.attach(radio)
         radios.append(radio)
     return sim, chan, radios
@@ -104,9 +126,11 @@ def fanout_round(sim: Simulator, chan: Channel, srcs, frame: PhyFrame) -> None:
 MODES = {"brute": False, "indexed": True}
 
 
-def build_mode_world(n: int, density: float, mode: str, seed: int = 7):
+def build_mode_world(
+    n: int, density: float, mode: str, seed: int = 7, moving: bool = False
+):
     """A fan-out world configured for one named bench mode."""
-    return build_fanout_world(n, density, MODES[mode], seed)
+    return build_fanout_world(n, density, MODES[mode], seed, moving)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -134,6 +158,30 @@ def test_transmit_fanout_mega(benchmark, n, placement):
     frame = make_frame()
     benchmark.group = f"fanout-mega-{placement}-n{n}"
     benchmark(fanout_round, sim, chan, srcs, frame)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_transmit_fanout_moving(benchmark, mode):
+    """Paper density, nodes always moving: no transmit replays a template."""
+    sim, chan, radios = build_mode_world(
+        MOVING_N, DENSITIES["dense"], mode, moving=True
+    )
+    srcs = radios[:TX_SAMPLE]
+    frame = make_frame()
+    benchmark.group = f"fanout-moving-n{MOVING_N}"
+    benchmark(fanout_round, sim, chan, srcs, frame)
+
+
+def test_moving_schedule_matches_brute():
+    """Correctness guard for the moving row's size and density: a world
+    whose nodes keep moving obeys the equivalence contract."""
+    from tests.phy.test_channel_equivalence import assert_equivalent
+
+    side = math.sqrt(MOVING_N / DENSITIES["dense"])
+    assert_equivalent(
+        seed=7, n=MOVING_N, side_m=side, mobile=True, tx_count=30,
+        require_events=True,
+    )
 
 
 @pytest.mark.parametrize("placement", sorted(DENSITIES))

@@ -61,8 +61,8 @@ class LinkFade:
 
     Frames from ``src`` arriving at ``dst`` during the window have their
     received power scaled by ``factor`` (attenuation only, so the channel's
-    spatial-index culling stays a sound superset and its gain caches stay
-    untouched — the fade is applied at the receiving radio).
+    spatial-index culling stays a sound superset and its template cache
+    stays untouched — the fade is applied at the receiving radio).
     """
 
     #: Transmitting node id.

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.mobility.base import MobilityModel, Position
+import math
+
+from repro.mobility.base import Leg, MobilityModel, Position
 
 
 class StaticMobility(MobilityModel):
@@ -20,6 +22,9 @@ class StaticMobility(MobilityModel):
 
     def position_at(self, t: float) -> Position:
         return self._pos
+
+    def leg(self, t: float) -> Leg:
+        return (*self._pos, 0.0, 0.0, 0.0, math.inf, math.inf)
 
     def poll(self, t: float) -> tuple[Position, int]:
         # Allocation-free fast path: same tuple object, epoch pinned at 0.

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from repro.config import MobilityConfig
-from repro.mobility.base import MobilityModel, Position
+from repro.mobility.base import Leg, MobilityModel, Position
 
 
 class RandomWaypoint(MobilityModel):
@@ -99,6 +99,13 @@ class RandomWaypoint(MobilityModel):
         if self._speed_range is not None:
             return float(self._speed_range[1])
         return self._cfg.speed_mps
+
+    def leg(self, t: float) -> Leg:
+        while t >= self._t1:
+            self._next_leg()
+        # A pause leg has _p1 == _p0, so its dx, dy are exact zeros.
+        (x0, y0), (x1, y1) = self._p0, self._p1
+        return (x0, y0, x1 - x0, y1 - y0, self._t0, self._t1 - self._t0, self._t1)
 
     def position_at(self, t: float) -> Position:
         while t >= self._t1:

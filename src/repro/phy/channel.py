@@ -26,8 +26,8 @@ Fan-out strategies
 ------------------
 The naive fan-out is a Python loop over *all* attached radios, recomputing
 the pairwise propagation gain before culling — O(N) work per frame even
-though only a handful of radios are reachable.  Two optimisations make the
-fan-out sub-linear, enabled by ``spatial_index=True``:
+though only a handful of radios are reachable.  ``spatial_index=True``
+replaces it with an array pipeline:
 
 * **Uniform-grid spatial index.**  Radios are bucketed into square cells of
   side ``propagation.range_for(max_tx_power_w, interference_floor_w) +
@@ -39,38 +39,38 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   ``reindex_interval_s``; the cell-size padding covers the maximum drift
   between refreshes, keeping the candidate set an exact superset of the
   reachable radios.
-* **Epoch-cached link gains.**  Mobility models expose a movement epoch
-  (:class:`~repro.mobility.base.MobilityModel`) that bumps only when a
-  position sample actually moves.  Per-link ``(gain, distance)`` pairs are
-  cached keyed on both endpoints' epochs: static scenarios compute each link
-  gain exactly once, and mobile scenarios get hits during pause legs and
-  repeated same-instant samples.  Radios whose mobility bound is 0 m/s are
-  flagged static at attach and skip position polling entirely.
-* **Batched gain evaluation with conservative culling.**  When a transmit
-  finds many cache-missed candidates (a mobile source after movement, or a
-  first transmit), their gains are evaluated in one
-  :meth:`~repro.phy.propagation.PropagationModel.gain_at_many` numpy call.
-  Bulk gains match the scalar path only to ~1 ulp, so they are used
-  **solely to cull** candidates whose received power falls below the
-  interference floor by a safety margin; every candidate that might cross
-  the floor gets the exact scalar ``gain_at`` value, and *only* exact
-  gains ever reach a scheduled event or a reusable cache entry (approximate
-  entries are cached with an ``exact=False`` flag and upgraded on demand).
-  Survivors are numbered in a second pass, strictly in attach order, so
-  edge sequence numbers — and with them same-time tie-breaking — are
-  untouched.
-
-* **Waves.**  Both indexed paths hand a transmission's edges to the
-  kernel as one :class:`~repro.sim.kernel.Wave` — a single queue entry
-  holding every receiver's leading and trailing edge, sorted by delay
-  (ties by attach order) — instead of two scheduled events per receiver.
-  The wave reserves exactly the seqs per-edge scheduling in attach order
-  would have used and dispatches each edge at its exact ``(time,
-  priority, seq)`` key, so the dispatch sequence is unchanged.  In an
-  all-static world the cached fan-out *is* the wave's template, so a
-  repeat transmit allocates one object; mobile fan-outs sort their
-  survivors once per transmit.  When float rounding could collapse two
-  delays onto one time against their attach order
+* **Leg arrays.**  The channel keeps one column per attached radio in a
+  ``7 × capacity`` float array: the radio's current mobility leg
+  ``(x0, y0, dx, dy, t0, span, t_end)``
+  (:meth:`~repro.mobility.base.MobilityModel.leg`).  A static radio is a
+  column with ``dx = dy = 0`` and ``t_end = inf``.  Columns start expired
+  and are re-read from the model, through its scalar code, only once
+  ``t_end <= now`` — legs advance lazily and per node, each from its own
+  RNG stream, exactly as position queries advance them.
+* **One array resolve per transmit.**  A block's candidate positions at
+  ``now`` are ``x0 + dx * ((now - t0) / span)``, the float operations of
+  ``position_at``; distances are ``sqrt(dx*dx + dy*dy)``, those of
+  :func:`~repro.phy.propagation.distance`.  Gains come from
+  ``gain_at_many`` when the model is ``bulk_exact`` and from the scalar
+  ``gain_at`` per element otherwise, so every gain is the exact scalar
+  value.  Survivors (``tx_power * gain >= floor``) keep attach order; a
+  stable argsort of their delays ``dist / c`` is the wave template.  Only
+  Python floats (``tolist``) reach the radios.
+* **Still-world replay.**  While the world is *still* — every attached
+  radio static or in a leg that does not move (a random-waypoint pause)
+  until some time ahead — the fan-out of a (source, tx power) cannot
+  change, so its template is cached and replayed.  The cache is cleared
+  when the world stops being still and on every attach or detach.
+  All-static worlds and the initial pause of random-waypoint runs are
+  still.
+* **Waves.**  A transmission's edges go to the kernel as one
+  :class:`~repro.sim.kernel.Wave` — a single queue entry holding every
+  receiver's leading and trailing edge, sorted by delay (ties by attach
+  order) — instead of two scheduled events per receiver.  The wave
+  reserves exactly the seqs per-edge scheduling in attach order would have
+  used and dispatches each edge at its exact ``(time, priority, seq)``
+  key, so the dispatch sequence is unchanged.  When float rounding could
+  collapse two delays onto one time against their attach order
   (:meth:`~repro.sim.kernel.WaveTemplate.fits`), the edges are scheduled
   one by one instead.
 
@@ -95,6 +95,7 @@ import math
 
 import numpy as np
 
+from repro.mobility.base import MobilityModel
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import PropagationModel, distance
 from repro.phy.radio import Radio
@@ -102,25 +103,7 @@ from repro.sim.kernel import LEAD_PRIORITY, TRAIL_PRIORITY, Simulator, WaveTempl
 from repro.units import SPEED_OF_LIGHT
 
 
-#: Minimum cache-missed candidates before gains are evaluated in one numpy
-#: batch; below this the scalar loop wins (numpy call overhead dominates —
-#: measured crossover on CPython 3.11 sits around two dozen links).
-_BATCH_MIN_MISSES = 24
-
-#: Adaptive gate for the batch path: after this many bulk-evaluated links,
-#: batching is abandoned for the run unless at least ``_BATCH_MIN_CULL_NUM /
-#: _BATCH_MIN_CULL_DEN`` of them were culled.  Bulk gains can only *cull*
-#: (scheduled powers always come from the scalar path), so in dense fields
-#: where every candidate is above the interference floor the batch is pure
-#: extra work — the gate caps that waste at a fixed, trivial amount while
-#: keeping the win in sparse fields where most of a 3×3 block is out of
-#: range.  The decision depends only on simulated data, never on wall time,
-#: and the event schedule is identical either way.
-_BATCH_PROBE_LINKS = 4096
-_BATCH_MIN_CULL_NUM = 1
-_BATCH_MIN_CULL_DEN = 4
-
-#: Upper bound on memoised static wave templates (keys are ``(src_seq,
+#: Upper bound on memoised wave templates (keys are ``(src_seq,
 #: tx_power)``, so continuous-power protocols could otherwise grow the
 #: cache without bound).  Generous enough for 10k sources at the paper's
 #: ten discrete power levels; on overflow the cache is simply cleared and
@@ -130,65 +113,39 @@ _STATIC_FANOUT_CAP = 131072
 #: Profiling labels of the leading and trailing signal edges.
 _EDGE_LABELS = ("phy.sig_start", "phy.sig_end")
 
-#: Static-fan-out cache miss marker (None is a cached "nothing in range").
+#: Template cache miss marker (None is a cached "nothing in range").
 _MISSING = object()
 
 
 class _RadioEntry:
     """Channel-side bookkeeping for one attached radio.
 
-    ``seq`` is the attach sequence number: candidate receivers are visited
-    in ascending ``seq`` so the indexed fan-out numbers its edges exactly
-    as the brute-force list scan would (the event queue breaks same-time
-    ties by insertion order).  Re-attaching assigns a fresh ``seq``,
-    matching the list's remove-then-append semantics.
-
-    ``static`` is set when the mobility model's speed bound is 0 m/s — the
-    position (and hence the movement epoch) can never change, so the hot
-    fan-out loop reads the attach-time sample instead of polling.
-    ``poll_mob`` is the mobility model's bound ``poll`` — the fan-out calls
-    it directly, skipping one Python frame per candidate per transmit.
-    ``lead`` / ``trail`` are the radio's ``signal_start`` / ``signal_end``
-    bound once per attach and shared by every wave template naming the radio.
+    ``seq`` is the attach sequence number and the radio's column in the
+    channel's leg array: candidate receivers are visited in ascending
+    ``seq`` so the indexed fan-out numbers its edges exactly as the
+    brute-force list scan would (the event queue breaks same-time ties by
+    insertion order).  Re-attaching assigns a fresh ``seq``, matching the
+    list's remove-then-append semantics.  ``lead`` / ``trail`` are the
+    radio's ``signal_start`` / ``signal_end`` bound once per attach and
+    shared by every wave template naming the radio.
     """
 
-    __slots__ = (
-        "radio", "seq", "mobility", "poll_mob", "pos", "epoch", "cell", "static",
-        "lead", "trail",
-    )
+    __slots__ = ("seq", "mobility", "cell", "lead", "trail")
 
-    def __init__(self, radio: Radio, seq: int, now: float) -> None:
-        self.radio = radio
+    def __init__(self, radio: Radio, seq: int, mobility: MobilityModel) -> None:
         self.seq = seq
-        self.mobility = getattr(radio, "mobility", None)
-        self.static = False
-        if self.mobility is not None:
-            self.poll_mob = self.mobility.poll
-            self.pos, self.epoch = self.poll_mob(now)
-            self.static = self.mobility.max_speed_mps() == 0.0
-            self.lead = radio.signal_start
-            self.trail = radio.signal_end
+        self.mobility = mobility
+        self.lead = radio.signal_start
+        self.trail = radio.signal_end
         self.cell: tuple[int, int] | None = None
 
-    def poll(self, now: float) -> tuple[tuple[float, float], int]:
-        """Fresh ``(position, epoch)``; the epoch bumps only on movement."""
-        pos, ep = self.mobility.poll(now)
-        self.pos = pos
-        self.epoch = ep
-        return pos, ep
 
-
-def _entry_seq(entry: _RadioEntry) -> int:
-    return entry.seq
-
-
-def _template(slots: list[tuple]) -> WaveTemplate | None:
-    """The wave template of attach-ordered ``(delay, lead, trail, rx_power)``
-    survivor tuples, or None when nothing survived."""
-    if not slots:
-        return None
-    delays, leads, trails, powers = zip(*slots)
-    return WaveTemplate(delays, leads, trails, powers)
+def _columns(entries: list[_RadioEntry]) -> tuple[np.ndarray, list]:
+    """The leg-array columns and mobility models of ``entries``."""
+    return (
+        np.array([e.seq for e in entries], dtype=np.intp),
+        [e.mobility for e in entries],
+    )
 
 
 class Channel:
@@ -231,12 +188,6 @@ class Channel:
         self.sim = sim
         self.propagation = propagation
         self.interference_floor_w = interference_floor_w
-        #: Conservative cull threshold for *approximate* (bulk) gains: a
-        #: candidate is skipped without an exact computation only when its
-        #: approximate received power misses the floor by a margin far wider
-        #: than the bulk path's ~1 ulp error, so no reachable radio can be
-        #: culled.  Borderline candidates fall through to the exact gain.
-        self._cull_floor = interference_floor_w * (1.0 - 1e-9)
         self.model_propagation_delay = model_propagation_delay
         self.name = name
         self._radios: list[Radio] = []
@@ -245,32 +196,20 @@ class Channel:
         self._max_tx_power_w = max_tx_power_w
         self._entries: dict[Radio, _RadioEntry] = {}
         self._cells: dict[tuple[int, int], list[_RadioEntry]] = {}
-        #: Memoised sorted candidate list per centre cell; any grid mutation
-        #: (attach, detach, a radio changing cell) clears it.  Static
-        #: scenarios therefore sort each 3×3 block exactly once.
-        self._blocks: dict[tuple[int, int], list[_RadioEntry]] = {}
-        #: Per-link gain cache: src_seq → (src_epoch, {rx_seq: (rx_epoch,
-        #: gain, dist, exact)}).  A source's inner dict is dropped wholesale
-        #: when its epoch advances (none of its entries can hit again), and a
-        #: receiver's slot is overwritten on epoch mismatch, so memory is
-        #: O(pairs currently in range), not O(pairs ever in range) —
-        #: static scenarios still keep every link gain forever.  ``exact``
-        #: marks gains computed by the scalar ``gain_at`` (usable for event
-        #: powers); False marks bulk ``gain_at_many`` values, sound only for
-        #: below-floor culling and upgraded to exact on demand.
-        self._gains: dict[
-            int, tuple[int, dict[int, tuple[int, float, float, bool]]]
-        ] = {}
+        #: Memoised candidates per centre cell, in attach order: their
+        #: leg-array columns, mobility models and bound edge handlers.  Any
+        #: grid mutation (attach, detach, a radio changing cell) clears it.
+        self._blocks: dict[tuple[int, int], tuple] = {}
+        #: Leg array, one column per attach seq (see the module docs); new
+        #: columns start expired, so nothing is read before it is needed.
+        self._legs = np.full((7, 64), -math.inf)
         self._next_seq = 0
-        #: Batch-gate bookkeeping (see _BATCH_PROBE_LINKS).
-        self._batch_enabled = True
-        self._batch_links = 0
-        self._batch_culled = 0
-        #: All-static fast path: with ``max_speed_mps == 0`` every attached
-        #: radio is pinned (attach enforces the bound), so the fan-out of a
-        #: given (source, tx power) never changes — cache it as the wave
-        #: template every such transmission launches (None when nothing is
-        #: in range).  Any attach or detach invalidates the whole cache.
+        #: Whether the world is still, valid until the clock reaches
+        #: ``_still_next`` (attach and detach force a recheck).
+        self._still = False
+        self._still_next = -math.inf
+        #: Wave template per (source seq, tx power) while the world is
+        #: still (None when nothing is in range).
         self._static_fanouts: dict[tuple[int, float], WaveTemplate | None] = {}
         self._max_speed_mps = max_speed_mps
         self._reindex_interval_s = reindex_interval_s
@@ -316,15 +255,15 @@ class Channel:
         if radio in self._radios:
             raise ValueError(f"radio of node {radio.node_id} already attached")
         if self._cell_size is not None:
-            entry = _RadioEntry(radio, self._next_seq, self.sim.now)
-            if entry.mobility is None:
+            mobility = getattr(radio, "mobility", None)
+            if mobility is None:
                 raise ValueError(
                     f"radio of node {radio.node_id} has no mobility model — "
                     "the spatial index cannot bound a bare position_fn's "
                     "drift; construct the radio with mobility=... (e.g. "
                     "StaticMobility) or use spatial_index=False"
                 )
-            speed = entry.mobility.max_speed_mps()
+            speed = mobility.max_speed_mps()
             if speed > self._max_speed_mps:
                 raise ValueError(
                     f"radio of node {radio.node_id} moves at up to "
@@ -332,25 +271,32 @@ class Channel:
                     f"max_speed_mps {self._max_speed_mps!r} — culling "
                     "would be unsound"
                 )
+            entry = _RadioEntry(radio, self._next_seq, mobility)
             self._next_seq += 1
+            legs = self._legs
+            if entry.seq == legs.shape[1]:
+                self._legs = np.full((7, 2 * entry.seq), -math.inf)
+                self._legs[:, : entry.seq] = legs
             self._entries[radio] = entry
-            self._move_to_cell(entry, entry.pos)
+            self._move_to_cell(entry, mobility.poll(self.sim.now)[0])
             self._static_fanouts.clear()
+            self._still_next = -math.inf
         self._radios.append(radio)
 
     def detach(self, radio: Radio) -> None:
         """Remove a radio from the medium.
 
         Semantics: detaching only stops *future* transmissions from reaching
-        the radio (and removes it from the spatial index / gain cache).
-        Signal edges already scheduled — the ``signal_start`` / ``signal_end``
-        edges of frames in flight at detach time, whether queued one by one
-        or inside a wave — still fire at the detached radio, mirroring
-        physics: energy already en route arrives regardless of any
-        bookkeeping change, and delivering the matching ``signal_end`` keeps
-        the radio's interference accounting consistent if it is later
-        re-attached.  Callers that want a radio to go genuinely deaf
-        mid-frame must model that at the radio, not by detaching.
+        the radio (and removes it from the spatial index and template
+        cache).  Signal edges already scheduled — the ``signal_start`` /
+        ``signal_end`` edges of frames in flight at detach time, whether
+        queued one by one or inside a wave — still fire at the detached
+        radio, mirroring physics: energy already en route arrives
+        regardless of any bookkeeping change, and delivering the matching
+        ``signal_end`` keeps the radio's interference accounting consistent
+        if it is later re-attached.  Callers that want a radio to go
+        genuinely deaf mid-frame must model that at the radio, not by
+        detaching.
         """
         self._radios.remove(radio)
         entry = self._entries.pop(radio, None)
@@ -359,10 +305,7 @@ class Channel:
                 self._cells[entry.cell].remove(entry)
             self._blocks.clear()
             self._static_fanouts.clear()
-            seq = entry.seq
-            self._gains.pop(seq, None)
-            for _, links in self._gains.values():
-                links.pop(seq, None)
+            self._still_next = -math.inf
 
     # --------------------------------------------------------------- indexing
 
@@ -380,101 +323,143 @@ class Channel:
         entry.cell = cell
         self._blocks.clear()
 
+    def _rows(self, seqs: np.ndarray, mobs: list, now: float) -> np.ndarray:
+        """The leg-array columns ``seqs`` at ``now`` (``mobs`` their
+        models), re-reading every expired leg from its model first."""
+        legs = self._legs
+        rows = legs.take(seqs, axis=1)
+        stale = np.flatnonzero(rows[6] <= now)
+        if len(stale):
+            fresh = np.array([mobs[i].leg(now) for i in stale.tolist()]).T
+            legs[:, seqs[stale]] = fresh
+            rows[:, stale] = fresh
+        return rows
+
+    @staticmethod
+    def _positions(rows: np.ndarray, now: float) -> tuple[np.ndarray, np.ndarray]:
+        """Positions at ``now`` from current leg rows, with the float
+        operations of ``position_at``: ``x0 + dx * ((t - t0) / span)``."""
+        frac = (now - rows[4]) / rows[5]
+        xs = rows[2] * frac
+        xs += rows[0]
+        ys = rows[3] * frac
+        ys += rows[1]
+        return xs, ys
+
     def _reindex(self, now: float) -> None:
         """Re-bucket every radio from a fresh position sample.
 
         Runs inside ``transmit`` (never as a scheduled event, which would
         perturb event sequence numbers) at most once per
         ``reindex_interval_s`` of simulated time, bounding both the grid
-        staleness and the amortised cost.  Static radios cannot change cell
-        and are skipped.
+        staleness and the amortised cost.
         """
-        for entry in self._entries.values():
-            if entry.static:
-                continue
-            pos, _ = entry.poll(now)
-            self._move_to_cell(entry, pos)
+        entries = list(self._entries.values())
+        seqs, mobs = _columns(entries)
+        xs, ys = self._positions(self._rows(seqs, mobs, now), now)
+        for entry, x, y in zip(entries, xs.tolist(), ys.tolist()):
+            self._move_to_cell(entry, (x, y))
         self._reindex_due_at = now + self._reindex_interval_s
 
-    def _block_candidates(self, block_key: tuple[int, int]) -> list[_RadioEntry]:
-        """Memoised, attach-order candidate list for one 3×3 cell block."""
-        candidates = self._blocks.get(block_key)
-        if candidates is None:
+    def _check_still(self, now: float) -> None:
+        """Decide whether the world is still at ``now``, and until when.
+
+        Still means every attached radio's current leg is motionless
+        (``dx == dy == 0``) beyond ``now``; the world then stays still until
+        the earliest such leg ends.  Otherwise it cannot become still before
+        every moving leg has ended, so the next check waits for the last of
+        them.  Cached templates describe the previous still period (or an
+        outdated set of radios), so they are dropped either way.
+        """
+        self._static_fanouts.clear()
+        rows = self._rows(*_columns(list(self._entries.values())), now)
+        ends = rows[6]
+        moving = (rows[2] != 0.0) | (rows[3] != 0.0) | (ends <= now)
+        self._still = not moving.any()
+        if self._still:
+            self._still_next = float(ends.min()) if len(ends) else math.inf
+        else:
+            self._still_next = float(ends[moving].max())
+
+    def _block(self, block_key: tuple[int, int]) -> tuple:
+        """Memoised, attach-order candidates of one 3×3 cell block."""
+        block = self._blocks.get(block_key)
+        if block is None:
             cx, cy = block_key
             cells = self._cells
-            candidates = []
+            entries = []
             for ix in (cx - 1, cx, cx + 1):
                 for iy in (cy - 1, cy, cy + 1):
                     bucket = cells.get((ix, iy))
                     if bucket:
-                        candidates.extend(bucket)
-            candidates.sort(key=_entry_seq)
-            self._blocks[block_key] = candidates
-        return candidates
+                        entries.extend(bucket)
+            entries.sort(key=lambda e: e.seq)
+            # Plain lists, not object arrays: the garbage collector cannot
+            # see through an ndarray, so cycles through one would leak.
+            block = self._blocks[block_key] = (
+                *_columns(entries),
+                [e.lead for e in entries],
+                [e.trail for e in entries],
+            )
+        return block
 
-    def _build_static_fanout(
-        self, entry: _RadioEntry, tx_power: float
+    def _resolve(
+        self, src_pos: tuple[float, float], src_seq: int, tx_power: float, now: float
     ) -> WaveTemplate | None:
-        """Wave template for one static source, or None if nothing is in range.
+        """The wave template of one transmission, or None if nothing is in
+        range — one array pass over the source's candidate block.
 
-        Survivors are computed exactly as the dynamic scalar path would
-        (same candidate block, same attach-order visit, same
-        cache-consistent ``gain_at`` values, same ``tx_power * gain``
-        products), so replaying the template is bit-identical to re-running
-        the loop.  Only valid in an all-static world (``max_speed_mps ==
-        0``); invalidated on attach/detach.
-
-        NOTE: the per-candidate resolve below is deliberately duplicated
-        across this method, the scalar path and batch pass 1 of
-        ``_fanout_indexed`` (a shared helper would cost one Python call per
-        candidate per transmit on the hottest loop).  Any change to the
-        cull/cache rule must be applied to all three in lockstep — the
-        equivalence suite (``tests/phy/test_channel_equivalence.py``, whose
-        static cases run max_speed 0 and therefore exercise this replay
-        path against the brute oracle) is the enforcement.
+        Every float is the one the brute scan computes: positions and
+        distances repeat its operations element-wise, gains are exact (see
+        the module docs), and survivors are ranked in attach order, so
+        their wave keys are the keys per-edge scheduling would assign.
         """
-        src_pos = entry.pos
-        src_epoch = entry.epoch
-        cached = self._gains.get(entry.seq)
-        if cached is None or cached[0] != src_epoch:
-            links = {}
-            self._gains[entry.seq] = (src_epoch, links)
-        else:
-            links = cached[1]
         size = self._cell_size
-        candidates = self._block_candidates(
+        seqs, mobs, leads, trails = self._block(
             (int(src_pos[0] // size), int(src_pos[1] // size))
         )
-
-        floor = self.interference_floor_w
-        cull_floor = self._cull_floor
-        gain_at = self.propagation.gain_at
-        model_delay = self.model_propagation_delay
-        src_radio = entry.radio
-        slots: list[tuple] = []
-        for cand in candidates:
-            if cand.radio is src_radio:
-                continue
-            rx_epoch = cand.epoch
-            hit = links.get(cand.seq)
-            if hit is not None and hit[0] == rx_epoch:
-                gain = hit[1]
-                dist = hit[2]
-                if not hit[3]:
-                    if tx_power * gain < cull_floor:
-                        continue
-                    gain = gain_at(dist)
-                    links[cand.seq] = (rx_epoch, gain, dist, True)
-            else:
-                dist = distance(src_pos, cand.pos)
-                gain = gain_at(dist)
-                links[cand.seq] = (rx_epoch, gain, dist, True)
-            rx_power = tx_power * gain
-            if rx_power < floor:
-                continue
-            delay = dist / SPEED_OF_LIGHT if model_delay else 0.0
-            slots.append((delay, cand.lead, cand.trail, rx_power))
-        return _template(slots)
+        # rx - src is the exact negation of distance()'s src - rx, so the
+        # squares, and every distance, are bit-identical to it.
+        dx, dy = self._positions(self._rows(seqs, mobs, now), now)
+        dx -= src_pos[0]
+        dy -= src_pos[1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        dist = np.sqrt(dx, out=dx)
+        prop = self.propagation
+        if prop.bulk_exact:
+            gains = prop.gain_at_many(dist)
+        else:
+            gains = PropagationModel.gain_at_many(prop, dist)  # scalar gain_at
+        rx = tx_power * gains
+        keep = np.flatnonzero((rx >= self.interference_floor_w) & (seqs != src_seq))
+        if not len(keep):
+            return None
+        if self.model_propagation_delay:
+            delays = dist[keep] / SPEED_OF_LIGHT
+            order = np.argsort(delays, kind="stable")
+            delays = delays[order]
+        else:
+            delays = np.zeros(len(keep))
+            order = np.arange(len(keep))
+        # WaveTemplate.gap: the smallest delay step between neighbours in
+        # inverted rank order.
+        gap = float(
+            np.min(
+                delays[1:] - delays[:-1], where=order[1:] < order[:-1], initial=math.inf
+            )
+        )
+        pick = keep[order]
+        picked = pick.tolist()
+        return WaveTemplate.presorted(
+            tuple(delays.tolist()),
+            tuple(order.tolist()),
+            tuple(map(leads.__getitem__, picked)),
+            tuple(map(trails.__getitem__, picked)),
+            tuple(rx[pick].tolist()),
+            gap,
+        )
 
     # ------------------------------------------------------------------ TX
 
@@ -524,204 +509,51 @@ class Channel:
                 label="phy.sig_end",
             )
 
-    def _emit(self, template: WaveTemplate | None, frame: PhyFrame) -> None:
-        """Queue one transmission's edges (as one wave whenever it fits)."""
-        if template is not None:
-            template.launch(
-                self.sim, frame.duration_s, frame, frame.frame_id, _EDGE_LABELS
-            )
-
     def _fanout_indexed(self, src: Radio, frame: PhyFrame) -> None:
-        """Grid-indexed fan-out with epoch-cached, batch-culled gains.
+        """Grid-indexed fan-out: one array resolve per transmit, replayed
+        from the template cache while the world is still.
 
         Produces the exact dispatch sequence of :meth:`_fanout_brute`: the
         candidate set is a superset of every radio above the interference
-        floor, gains/distances reuse only values computed from identical
-        positions (validated by movement epochs), bulk-evaluated gains are
-        used only to cull candidates safely below the floor (scheduled
-        powers are always the scalar ``gain_at`` value), and survivors are
-        numbered in attach order, so their wave keys are the keys per-edge
-        scheduling would have assigned.
+        floor and :meth:`_resolve` computes the brute scan's floats.
         """
-        if frame.tx_power_w > self._max_tx_power_w:
+        tx_power = frame.tx_power_w
+        if tx_power > self._max_tx_power_w:
             raise ValueError(
-                f"tx power {frame.tx_power_w!r} W exceeds the channel's "
+                f"tx power {tx_power!r} W exceeds the channel's "
                 f"max_tx_power_w {self._max_tx_power_w!r} — the spatial index "
                 "cannot guarantee reachability beyond it"
             )
         now = self.sim.now
-        if self._max_speed_mps == 0.0:
-            # All-static world: the survivor set, received powers and delays
-            # for this (source, tx power) can never change — replay the
-            # cached wave template (built through the normal scalar path the
-            # first time, so every float is bit-identical to it).
-            entry = self._entries.get(src)
-            if entry is not None:
-                key = (entry.seq, frame.tx_power_w)
+        if now >= self._reindex_due_at:
+            self._reindex(now)
+        entry = self._entries.get(src)
+        if entry is None:
+            # Unattached transmitter: legal (the brute path allows it), but
+            # it has no seq to key the template cache on.
+            template = self._resolve(src.position, -1, tx_power, now)
+        else:
+            if now >= self._still_next:
+                self._check_still(now)
+            if self._still:
+                key = (entry.seq, tx_power)
                 fanouts = self._static_fanouts
                 template = fanouts.get(key, _MISSING)
                 if template is _MISSING:
-                    template = self._build_static_fanout(entry, frame.tx_power_w)
+                    template = self._resolve(
+                        entry.mobility.position_at(now), entry.seq, tx_power, now
+                    )
                     if len(fanouts) >= _STATIC_FANOUT_CAP:
                         fanouts.clear()
                     fanouts[key] = template
-                self._emit(template, frame)
-                return
-        if now >= self._reindex_due_at:
-            self._reindex(now)
-        size = self._cell_size
-        entry = self._entries.get(src)
-        if entry is not None:
-            if entry.static:
-                src_pos = entry.pos
-                src_epoch = entry.epoch
             else:
-                src_pos, src_epoch = entry.poll(now)
+                src_pos = entry.mobility.position_at(now)
                 self._move_to_cell(entry, src_pos)
-            cached = self._gains.get(entry.seq)
-            if cached is None or cached[0] != src_epoch:
-                # The source moved: none of its cached links can hit again,
-                # so drop them wholesale (bounds the cache for mobile runs).
-                links: dict | None = {}
-                self._gains[entry.seq] = (src_epoch, links)
-            else:
-                links = cached[1]
-        else:
-            # Unattached transmitter: legal (the brute path allows it), but
-            # there is no entry to key the cache on — compute directly.
-            src_pos = src.position
-            links = None
-        candidates = self._block_candidates(
-            (int(src_pos[0] // size), int(src_pos[1] // size))
-        )
-
-        tx_power = frame.tx_power_w
-        floor = self.interference_floor_w
-        cull_floor = self._cull_floor
-        gain_at = self.propagation.gain_at
-        model_delay = self.model_propagation_delay
-        slots: list[tuple] = []
-        append = slots.append
-
-        # Expected cache misses ≈ candidates not yet in the link cache; with
-        # a fully warm cache (static scenarios after the first transmit per
-        # source) this is ~0 and the single-pass scalar loop is optimal.
-        if not (
-            self._batch_enabled
-            and links is not None
-            and len(candidates) - len(links) >= _BATCH_MIN_MISSES
-        ):
-            # Scalar fast path: one pass in attach order, so dense fields —
-            # where the batch gate has tripped — pay no two-pass overhead.
-            for cand in candidates:
-                if cand.radio is src:
-                    continue
-                if cand.static:
-                    rx_pos = cand.pos
-                    rx_epoch = cand.epoch
-                else:
-                    rx_pos, rx_epoch = cand.poll_mob(now)
-                if links is not None:
-                    hit = links.get(cand.seq)
-                    if hit is not None and hit[0] == rx_epoch:
-                        gain = hit[1]
-                        dist = hit[2]
-                        if not hit[3]:
-                            # Approximate (bulk) gain: good for culling only.
-                            # At a higher tx power it may cross — upgrade.
-                            if tx_power * gain < cull_floor:
-                                continue
-                            gain = gain_at(dist)
-                            links[cand.seq] = (rx_epoch, gain, dist, True)
-                    else:
-                        dist = distance(src_pos, rx_pos)
-                        gain = gain_at(dist)
-                        links[cand.seq] = (rx_epoch, gain, dist, True)
-                else:
-                    dist = distance(src_pos, rx_pos)
-                    gain = gain_at(dist)
-                rx_power = tx_power * gain
-                if rx_power < floor:
-                    continue
-                delay = dist / SPEED_OF_LIGHT if model_delay else 0.0
-                append((delay, cand.lead, cand.trail, rx_power))
-            self._emit(_template(slots), frame)
-            return
-
-        # Batch path — pass 1 resolves, in attach order, every candidate to
-        # either an exact (cand, gain, dist) or a sound below-floor cull.
-        # Cache misses are parked (a placeholder keeps their slot in the
-        # order) and bulk-evaluated, then pass 2 numbers the survivors
-        # strictly in attach order, as the brute scan would.
-        resolved: list[tuple[_RadioEntry, float, float] | None] = []
-        keep = resolved.append
-        misses: list[tuple[int, _RadioEntry, tuple[float, float], int]] = []
-        for cand in candidates:
-            if cand.radio is src:
-                continue
-            if cand.static:
-                rx_pos = cand.pos
-                rx_epoch = cand.epoch
-            else:
-                rx_pos, rx_epoch = cand.poll_mob(now)
-            hit = links.get(cand.seq)
-            if hit is not None and hit[0] == rx_epoch:
-                gain = hit[1]
-                dist = hit[2]
-                if not hit[3]:
-                    if tx_power * gain < cull_floor:
-                        continue
-                    gain = gain_at(dist)
-                    links[cand.seq] = (rx_epoch, gain, dist, True)
-                if tx_power * gain >= floor:
-                    keep((cand, gain, dist))
-                continue
-            misses.append((len(resolved), cand, rx_pos, rx_epoch))
-            keep(None)
-
-        if misses:
-            if len(misses) >= _BATCH_MIN_MISSES:
-                # One vectorised gain evaluation for all missed links; the
-                # distances stay scalar (they feed delays and the cache).
-                dists = [distance(src_pos, m[2]) for m in misses]
-                bulk = self.propagation.gain_at_many(np.asarray(dists))
-                culled = 0
-                for (idx, cand, _pos, rx_epoch), dist, approx in zip(
-                    misses, dists, bulk
-                ):
-                    approx = float(approx)
-                    if tx_power * approx < cull_floor:
-                        links[cand.seq] = (rx_epoch, approx, dist, False)
-                        culled += 1
-                        continue
-                    gain = gain_at(dist)
-                    links[cand.seq] = (rx_epoch, gain, dist, True)
-                    if tx_power * gain >= floor:
-                        resolved[idx] = (cand, gain, dist)
-                self._batch_links += len(misses)
-                self._batch_culled += culled
-                if (
-                    self._batch_links >= _BATCH_PROBE_LINKS
-                    and self._batch_culled * _BATCH_MIN_CULL_DEN
-                    < self._batch_links * _BATCH_MIN_CULL_NUM
-                ):
-                    # Dense field: bulk culling is not paying for itself.
-                    self._batch_enabled = False
-            else:
-                for idx, cand, rx_pos, rx_epoch in misses:
-                    dist = distance(src_pos, rx_pos)
-                    gain = gain_at(dist)
-                    links[cand.seq] = (rx_epoch, gain, dist, True)
-                    if tx_power * gain >= floor:
-                        resolved[idx] = (cand, gain, dist)
-
-        for item in resolved:
-            if item is None:
-                continue
-            cand, gain, dist = item
-            delay = dist / SPEED_OF_LIGHT if model_delay else 0.0
-            append((delay, cand.lead, cand.trail, tx_power * gain))
-        self._emit(_template(slots), frame)
+                template = self._resolve(src_pos, entry.seq, tx_power, now)
+        if template is not None:
+            template.launch(
+                self.sim, frame.duration_s, frame, frame.frame_id, _EDGE_LABELS
+            )
 
     # --------------------------------------------------------------- queries
 

@@ -22,18 +22,20 @@ frozen, hashable and comparable on their declared fields only.
 
 Exactness contract (``bulk_exact``)
 -----------------------------------
-``gain_at_many`` is the numpy bulk counterpart of ``gain_at``, used by the
-channel's batched culling.  A model that sets ``bulk_exact = True``
-guarantees the bulk path is **bit-identical** to the scalar path for every
-distance: both sides are written as the *same sequence* of individually
-correctly-rounded IEEE-754 operations (multiply, divide, sqrt, compare —
-never ``**`` with a float exponent, whose libm/numpy implementations may
-disagree by 1 ulp).  :class:`FreeSpace` and :class:`TwoRayGround` (the
-paper's models) are ``bulk_exact``; a caller may then use a bulk evaluation
-wherever the scalar value is required.  :class:`LogDistanceShadowing`
-needs a non-integer power and stays ``bulk_exact = False`` — its bulk gains
-match the scalar path only to ~1 ulp, so callers must use them for
-conservative culling only (the tolerance contract is enforced by
+``gain_at_many`` is the numpy bulk counterpart of ``gain_at``; the
+channel's fan-out evaluates a transmit's candidate gains with it whenever
+the model is ``bulk_exact``, and with scalar ``gain_at`` otherwise.  A
+model that sets ``bulk_exact = True`` guarantees the bulk path is
+**bit-identical** to the scalar path for every distance: both sides are
+written as the *same sequence* of individually correctly-rounded IEEE-754
+operations (multiply, divide, sqrt, compare — never ``**`` with a float
+exponent, whose libm/numpy implementations may disagree by 1 ulp).
+:class:`FreeSpace` and :class:`TwoRayGround` (the paper's models) are
+``bulk_exact``; a caller may then use a bulk evaluation wherever the scalar
+value is required.  :class:`LogDistanceShadowing` needs a non-integer power
+and stays ``bulk_exact = False`` — its bulk gains match the scalar path
+only to ~1 ulp, so callers needing exact gains must not use them (the
+tolerance contract is enforced by
 ``tests/phy/test_propagation_exactness.py``).  For the same reason
 :func:`distance` is ``sqrt(dx² + dy²)`` rather than ``math.hypot`` —
 CPython's hypot uses its own rounding algorithm that a numpy expression
@@ -94,8 +96,8 @@ class PropagationModel:
         The base implementation loops; models override it with closed-form
         numpy expressions.  When :attr:`bulk_exact` is True the override is
         bit-identical to the scalar path; otherwise results match only to
-        ~1 ulp and callers must treat them as approximate (cull-only in the
-        channel fan-out).
+        ~1 ulp and callers must treat them as approximate.  This base loop
+        *is* the scalar path, element by element.
         """
         d = np.asarray(distances_m, dtype=float)
         out = np.fromiter(
@@ -230,13 +232,19 @@ class TwoRayGround(PropagationModel):
         """Vectorized two-ray gains, bit-identical to ``gain_at``."""
         # Bit-identical to gain_at: both branches use the scalar path's
         # exact operation sequence and the branch test is an exact compare.
+        # Evaluated in place, as the fan-out calls this once per transmit.
         d = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
-        d2 = d * d
-        return np.where(
-            d < self._crossover_m,
-            self._friis.gain_at_many(d),
-            self._numerator / (d2 * d2 * self.system_loss),
-        )
+        near = d < self._crossover_m
+        fpd = _FOUR_PI * d
+        fpd *= fpd
+        fpd *= self.system_loss
+        friis = np.divide(self._friis._numerator, fpd, out=fpd)
+        d *= d
+        d *= d
+        d *= self.system_loss
+        gains = np.divide(self._numerator, d, out=d)
+        np.copyto(gains, friis, where=near)
+        return gains
 
     def gain(self, tx_pos: Position, rx_pos: Position) -> float:
         """Gain between two positions (Euclidean distance, then two-ray)."""
@@ -295,8 +303,8 @@ class LogDistanceShadowing(PropagationModel):
 
     def gain_at_many(self, distances_m) -> np.ndarray:
         """Vectorized gains; *not* ``bulk_exact`` (numpy ``**`` may differ
-        in the last ulp from libm ``pow``), so callers must use this for
-        conservative culling only and recompute survivors scalar-ly.
+        in the last ulp from libm ``pow``), so callers needing exact gains
+        must use ``gain_at`` instead.
         """
         d = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
         return (

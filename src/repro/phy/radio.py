@@ -434,7 +434,7 @@ class Radio:
         faults = self.faults
         if faults is not None:
             # Link fade: attenuation-only, applied at the receiver so the
-            # channel's culling and gain caches stay untouched.
+            # channel's culling and template cache stay untouched.
             gain = faults.gains.get(frame.src)
             if gain is not None:
                 rx_power_w *= gain

@@ -337,15 +337,40 @@ class WaveTemplate:
         # Rows sort by (offset, rank); ranks are unique, so the callables
         # are never compared.
         rows = sorted(zip(offsets, range(len(offsets)), leads, trails, xs))
-        self.offsets, self.ranks, self.leads, self.trails, self.xs = zip(*rows)
-        offsets, ranks = self.offsets, self.ranks
-        self.lo = offsets[0]
-        self.hi = offsets[-1]
-        #: Smallest offset step between neighbours in inverted rank order.
+        offsets, ranks, leads, trails, xs = zip(*rows)
         gap = math.inf
         for k in range(1, len(ranks)):
             if ranks[k] < ranks[k - 1] and offsets[k] - offsets[k - 1] < gap:
                 gap = offsets[k] - offsets[k - 1]
+        self._fill(offsets, ranks, leads, trails, xs, gap)
+
+    @classmethod
+    def presorted(
+        cls,
+        offsets: Sequence[float],
+        ranks: Sequence[int],
+        leads: Sequence[Callable[[Any, Any], Any]],
+        trails: Sequence[Callable[[Any], Any]],
+        xs: Sequence[Any],
+        gap: float,
+    ) -> WaveTemplate:
+        """A template from sequences already in dispatch order: sorted by
+        ``(offset, rank)``, with ``gap`` the smallest ``offsets[k] -
+        offsets[k - 1]`` over ``k`` where ``ranks[k] < ranks[k - 1]`` (inf
+        if there is none).  For callers that sort in bulk themselves."""
+        if not offsets:
+            raise ValueError("a wave needs at least one receiver")
+        self = cls.__new__(cls)
+        self._fill(offsets, ranks, leads, trails, xs, gap)
+        return self
+
+    def _fill(self, offsets, ranks, leads, trails, xs, gap) -> None:
+        self.offsets, self.ranks, self.leads, self.trails, self.xs = (
+            offsets, ranks, leads, trails, xs
+        )
+        self.lo = offsets[0]
+        self.hi = offsets[-1]
+        #: Smallest offset step between neighbours in inverted rank order.
         self.gap = gap
 
     def fits(self, now: float, span_s: float) -> bool:

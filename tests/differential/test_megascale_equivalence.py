@@ -1,8 +1,8 @@
 """Differential suite: indexed fan-out with waves vs the brute per-edge oracle.
 
 The spatial-index channel hands every transmission's signal edges to the
-kernel as one wave (replayed from a cached template in all-static worlds,
-sorted once per transmit in mobile ones).  It must produce
+kernel as one wave (replayed from a cached template while the world is
+still, resolved in one array pass per transmit once nodes move).  It must produce
 **bit-identical** :class:`~repro.metrics.ExperimentResult`\\ s (including
 ``events_executed``) to the slowest, most literal execution path: the
 brute-force channel scan, which schedules every edge as its own event.
@@ -33,11 +33,16 @@ from repro.scenariospec import SCENARIO_SCHEMA_VERSION, ScenarioSpec
 
 
 def make_spec(
-    protocol: str, mobile: bool, n: int, duration_s: float, seed: int
+    protocol: str, mobile: bool, n: int, duration_s: float, seed: int,
+    **mobility,
 ) -> ScenarioSpec:
+    """A default-config spec; ``mobility`` overrides ``MobilityConfig``
+    fields (e.g. ``pause_s``)."""
     cfg = replace(
         ScenarioConfig(), node_count=n, duration_s=duration_s, seed=seed
     )
+    if mobility:
+        cfg = replace(cfg, mobility=replace(cfg.mobility, **mobility))
     return ScenarioSpec.from_legacy(cfg, protocol, mobile=mobile)
 
 
@@ -54,10 +59,11 @@ def run_spec(spec: ScenarioSpec, *, oracle: bool) -> dict:
 
 
 def assert_waves_identical(
-    protocol: str, mobile: bool, n: int, duration_s: float, seed: int
+    protocol: str, mobile: bool, n: int, duration_s: float, seed: int,
+    **mobility,
 ) -> dict:
     """Oracle vs waves: full-result bit identity, spec noted on failure."""
-    spec = make_spec(protocol, mobile, n, duration_s, seed)
+    spec = make_spec(protocol, mobile, n, duration_s, seed, **mobility)
     # Attach the runnable spec JSON to any failure: via hypothesis notes
     # inside property tests, via captured stdout (shown only on failure)
     # for the deterministic cases.
@@ -92,6 +98,31 @@ class TestRandomScenarioEquivalence:
     )
     def test_full_results_bit_identical(self, mobile, seed, n, protocol, duration_s):
         assert_waves_identical(protocol, mobile, n, duration_s, seed)
+
+
+class TestMovingNodeEquivalence:
+    """Worlds whose nodes leave their pause early and keep moving, so most
+    transmits resolve against moving leg rows instead of a still world's
+    cached templates.  (With the default 3 s pause the random worlds above
+    barely move.)"""
+
+    @pytest.mark.parametrize("speed_mps", [3.0, 30.0])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        n=st.integers(min_value=4, max_value=30),
+        protocol=st.sampled_from(["basic", "pcmac"]),
+        duration_s=st.sampled_from([2.0, 3.0, 5.0]),
+    )
+    def test_short_pauses_bit_identical(self, speed_mps, seed, n, protocol, duration_s):
+        assert_waves_identical(
+            protocol, True, n, duration_s, seed, speed_mps=speed_mps, pause_s=0.2
+        )
+
+    def test_paper_cell_across_the_end_of_the_pause(self):
+        """The paper's Section IV cell (50 nodes, PCMAC, 3 m/s, 3 s pause)
+        run to 5 s: the world is still until 3 s, then every node moves."""
+        result = assert_waves_identical("pcmac", True, 50, 5.0, 7)
+        assert result["sent"] > 0
 
 
 class TestDenseBlockEquivalence:

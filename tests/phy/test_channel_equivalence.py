@@ -8,7 +8,9 @@ edge as its own event — same arrival times, same received powers
 mobility, any transmission pattern.  These tests
 build two mirrored worlds (identically seeded mobility, identical
 transmission scripts), run both, and compare the recorded signal-edge logs
-with plain ``==``.
+with plain ``==``.  Worlds run under each propagation model: the paper's
+two-ray ground and free space take the fan-out's bulk-gain branch
+(``bulk_exact``), log-distance shadowing its scalar-gain branch.
 """
 
 from __future__ import annotations
@@ -23,13 +25,20 @@ from repro.mobility.static import StaticMobility
 from repro.mobility.waypoint import RandomWaypoint
 from repro.phy.channel import Channel
 from repro.phy.frame import PhyFrame
-from repro.phy.propagation import TwoRayGround
+from repro.phy.propagation import FreeSpace, LogDistanceShadowing, TwoRayGround
 from repro.sim.kernel import Simulator
 
 PHY = PhyConfig()
 MAX_POWER_W = PHY.max_power_w
 SPEED_MPS = 30.0  # fast nodes stress reindexing within a short horizon
 HORIZON_S = 20.0
+
+#: Propagation models by name; only the first two are ``bulk_exact``.
+PROPAGATIONS = {
+    "two_ray": TwoRayGround(),
+    "free_space": FreeSpace(),
+    "log_distance": LogDistanceShadowing(),
+}
 
 
 class RecordingRadio:
@@ -55,13 +64,21 @@ class RecordingRadio:
         self.log.append(("end", self.sim.now, self.node_id, frame_id))
 
 
-def build_world(seed, n, side_m, mobile, spatial_index):
-    """One (sim, channel, radios, log) world; same seed ⇒ same world."""
+def build_world(
+    seed, n, side_m, mobile, spatial_index, prop="two_ray", floor_w=None,
+    pause_s=0.2,
+):
+    """One (sim, channel, radios, log) world; same seed ⇒ same world.
+
+    ``prop`` names the propagation model; ``floor_w`` overrides the
+    interference floor (default: the PHY's); ``pause_s`` is the mobile
+    nodes' pause, the initial one included.
+    """
     sim = Simulator()
     chan = Channel(
         sim,
-        TwoRayGround(),
-        interference_floor_w=PHY.interference_floor_w,
+        PROPAGATIONS[prop],
+        interference_floor_w=floor_w or PHY.interference_floor_w,
         spatial_index=spatial_index,
         max_tx_power_w=MAX_POWER_W,
         max_speed_mps=SPEED_MPS if mobile else 0.0,
@@ -69,7 +86,8 @@ def build_world(seed, n, side_m, mobile, spatial_index):
     )
     rng = np.random.default_rng(seed)
     mob_cfg = MobilityConfig(
-        speed_mps=SPEED_MPS, pause_s=0.2, field_width_m=side_m, field_height_m=side_m
+        speed_mps=SPEED_MPS, pause_s=pause_s, field_width_m=side_m,
+        field_height_m=side_m,
     )
     log: list = []
     radios = []
@@ -102,8 +120,10 @@ def make_script(seed, n, tx_count):
     ]
 
 
-def run_script(seed, n, side_m, mobile, spatial_index, script):
-    sim, chan, radios, log = build_world(seed, n, side_m, mobile, spatial_index)
+def run_script(seed, n, side_m, mobile, spatial_index, script, **world):
+    sim, chan, radios, log = build_world(
+        seed, n, side_m, mobile, spatial_index, **world
+    )
     for t, src, power, size, fid in script:
         frame = PhyFrame(
             payload=None,
@@ -119,10 +139,12 @@ def run_script(seed, n, side_m, mobile, spatial_index, script):
     return chan, log
 
 
-def assert_equivalent(seed, n, side_m, mobile, tx_count=40, require_events=False):
+def assert_equivalent(
+    seed, n, side_m, mobile, tx_count=40, require_events=False, **world
+):
     script = make_script(seed, n, tx_count)
-    _, brute = run_script(seed, n, side_m, mobile, False, script)
-    _, indexed = run_script(seed, n, side_m, mobile, True, script)
+    _, brute = run_script(seed, n, side_m, mobile, False, script, **world)
+    _, indexed = run_script(seed, n, side_m, mobile, True, script, **world)
     assert brute == indexed
     if require_events:
         # These geometries are dense enough that an all-empty log would mean
@@ -136,18 +158,32 @@ class TestScheduleEquivalence:
         seed=st.integers(0, 2**20),
         n=st.integers(2, 40),
         side_m=st.sampled_from([300.0, 1000.0, 3000.0]),
+        prop=st.sampled_from(sorted(PROPAGATIONS)),
     )
-    def test_static_random_worlds(self, seed, n, side_m):
-        assert_equivalent(seed, n, side_m, mobile=False)
+    def test_static_random_worlds(self, seed, n, side_m, prop):
+        assert_equivalent(seed, n, side_m, mobile=False, prop=prop)
 
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 2**20),
         n=st.integers(2, 30),
         side_m=st.sampled_from([500.0, 2000.0]),
+        prop=st.sampled_from(sorted(PROPAGATIONS)),
     )
-    def test_mobile_random_worlds(self, seed, n, side_m):
-        assert_equivalent(seed, n, side_m, mobile=True)
+    def test_mobile_random_worlds(self, seed, n, side_m, prop):
+        assert_equivalent(seed, n, side_m, mobile=True, prop=prop)
+
+    @pytest.mark.parametrize("mobile", [False, True], ids=["static", "mobile"])
+    @pytest.mark.parametrize("prop", sorted(PROPAGATIONS))
+    def test_propagation_models_cull_at_the_floor(self, prop, mobile):
+        """A floor at each model's 400 m gain spreads a 1500 m field over
+        several grid cells, so every model culls in-block candidates at
+        the floor boundary."""
+        floor = MAX_POWER_W * PROPAGATIONS[prop].gain_at(400.0)
+        assert_equivalent(
+            3, n=40, side_m=1500.0, mobile=mobile, tx_count=80,
+            require_events=True, prop=prop, floor_w=floor,
+        )
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_dense_static_seeds(self, seed):
@@ -213,18 +249,38 @@ class TestScheduleEquivalence:
 
 
 class TestGainCacheInvalidation:
-    """The epoch cache must never serve a gain computed at a stale position."""
+    """The template cache must never serve a gain computed at a stale
+    position: it holds one template per (source, tx power) while the world
+    is still, and drops them all when the world moves, gains or loses a
+    radio."""
 
-    def _world(self, mobile):
-        return build_world(seed=21, n=2, side_m=400.0, mobile=mobile,
-                           spatial_index=True)
+    def _world(self, mobile, pause_s=0.2, n=2):
+        return build_world(seed=21, n=n, side_m=400.0, mobile=mobile,
+                           spatial_index=True, pause_s=pause_s)
 
-    def _transmit_at(self, sim, chan, src, t, fid):
+    def _transmit_at(self, sim, chan, src, t, fid, power=MAX_POWER_W):
         frame = PhyFrame(
             payload=None, size_bytes=100, bitrate_bps=2e6, plcp_s=0.0,
-            tx_power_w=MAX_POWER_W, src=src.node_id, frame_id=fid,
+            tx_power_w=power, src=src.node_id, frame_id=fid,
         )
         sim.schedule(t, lambda: chan.transmit(src, frame))
+
+    def _count_resolves(self, chan):
+        calls = []
+        resolve = chan._resolve
+
+        def counted(*args):
+            calls.append(args)
+            return resolve(*args)
+
+        chan._resolve = counted
+        return calls
+
+    def _snapshot_at(self, sim, chan, t):
+        """The template cache's keys just after the transmits at ``t``."""
+        seen = []
+        sim.schedule(t, lambda: seen.append(set(chan._static_fanouts)), priority=9)
+        return seen
 
     def test_waypoint_movement_invalidates_cached_gain(self):
         sim, chan, radios, log = self._world(mobile=True)
@@ -258,34 +314,37 @@ class TestGainCacheInvalidation:
         assert len(set(powers)) == 3
 
     def test_static_world_caches_each_link_once(self):
+        """A static world resolves each (source, power) once and replays
+        the same template object for every later transmission."""
         sim, chan, radios, log = self._world(mobile=False)
+        calls = self._count_resolves(chan)
         for fid, t in enumerate((0.1, 1.0, 2.0, 3.0), start=1):
             self._transmit_at(sim, chan, radios[0], t, fid)
         sim.run_until(10.0)
         starts = [e for e in log if e[0] == "start"]
         assert len(starts) == 4
         assert len({e[4] for e in starts}) == 1  # same link, same gain
-        # One ordered-pair cache entry, computed once, valid forever:
-        # src_seq 0 at epoch 0 → {rx_seq 1: (epoch 0, gain, dist)}.
-        assert set(chan._gains) == {0}
-        src_epoch, links = chan._gains[0]
-        assert src_epoch == 0
-        assert set(links) == {1} and links[1][0] == 0
+        assert len(calls) == 1
+        assert set(chan._static_fanouts) == {(0, MAX_POWER_W)}
+        tmpl = chan._static_fanouts[(0, MAX_POWER_W)]
+        assert tmpl.xs == (starts[0][4],)
 
     def test_source_movement_evicts_its_cached_links(self):
-        """A moving source's stale links are dropped, not accumulated."""
+        """Leaving the initial pause drops every template, and a moving
+        world caches none: each transmit resolves afresh."""
         sim, chan, radios, log = self._world(mobile=True)
         tx_times = (0.1, 5.0, 12.0)
         for fid, t in enumerate(tx_times, start=1):
             self._transmit_at(sim, chan, radios[0], t, fid)
+        calls = self._count_resolves(chan)
+        still = self._snapshot_at(sim, chan, 0.1)
+        moving = self._snapshot_at(sim, chan, 5.0)
         sim.run_until(HORIZON_S)
         assert len([e for e in log if e[0] == "start"]) == 3
-        # The source moved between every transmission, so the cache holds
-        # only the *latest* epoch's links — one per current candidate, with
-        # no stale-epoch residue.
-        src_epoch, links = chan._gains[0]
-        assert src_epoch == radios[0].mobility.epoch
-        assert len(links) == 1  # the single co-located receiver, once
+        assert still == [{(0, MAX_POWER_W)}]
+        assert moving == [set()]
+        assert len(calls) == 3
+        assert chan._static_fanouts == {}
 
     def test_pause_legs_keep_epoch_and_reuse_cache(self):
         mob = RandomWaypoint(
@@ -299,6 +358,40 @@ class TestGainCacheInvalidation:
         assert mob.epoch == e0
         mob.position_at(10.0)  # moving now
         assert mob.epoch > e0
+
+        # A world inside its initial 3 s pause is still: one template per
+        # (source, power), replayed until the pause ends.
+        sim, chan, radios, log = self._world(mobile=True, pause_s=3.0, n=3)
+        calls = self._count_resolves(chan)
+        low = PHY.power_levels_w[0]
+        script = [(0.5, 0, MAX_POWER_W), (1.0, 0, MAX_POWER_W), (1.5, 1, MAX_POWER_W),
+                  (2.0, 0, low), (2.5, 0, MAX_POWER_W), (3.5, 0, MAX_POWER_W)]
+        for fid, (t, src, power) in enumerate(script, start=1):
+            self._transmit_at(sim, chan, radios[src], t, fid, power)
+        paused = self._snapshot_at(sim, chan, 2.5)
+        moving = self._snapshot_at(sim, chan, 3.5)
+        sim.run_until(HORIZON_S)
+        assert paused == [{(0, MAX_POWER_W), (1, MAX_POWER_W), (0, low)}]
+        assert moving == [set()]
+        assert len(calls) == 4  # three templates, then one moving resolve
+
+    def test_attach_and_detach_drop_templates(self):
+        sim, chan, radios, log = self._world(mobile=False, n=3)
+        self._transmit_at(sim, chan, radios[0], 0.1, 1)
+        sim.run_until(1.0)
+        assert set(chan._static_fanouts) == {(0, MAX_POWER_W)}
+        chan.detach(radios[2])
+        assert chan._static_fanouts == {}
+        self._transmit_at(sim, chan, radios[0], 1.5, 2)
+        sim.run_until(2.0)
+        assert len(chan._static_fanouts[(0, MAX_POWER_W)].xs) == 1
+        chan.attach(radios[2])
+        assert chan._static_fanouts == {}
+        self._transmit_at(sim, chan, radios[0], 2.5, 3)
+        sim.run_until(3.0)
+        assert len(chan._static_fanouts[(0, MAX_POWER_W)].xs) == 2
+        heard = [(e[3], e[2]) for e in log if e[0] == "start"]
+        assert sorted(heard) == [(1, 1), (1, 2), (2, 1), (3, 1), (3, 2)]
 
 
 class TestSpatialIndexGuards:

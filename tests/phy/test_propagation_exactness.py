@@ -9,9 +9,10 @@ break the bit-identity guarantee the differential suite enforces on whole
 * :class:`FreeSpace` and :class:`TwoRayGround` — exact equality on a wide
   log-spaced distance sweep, plus adversarial points (the clamp boundary,
   the two-ray crossover and its float neighbours).
-* :class:`LogDistanceShadowing` — declared inexact; we assert it *stays*
-  declared inexact and that bulk results remain within the ~1-ulp
-  tolerance the channel's cull-only usage relies upon.
+* :class:`LogDistanceShadowing` — declared inexact, so the channel's
+  fan-out evaluates it with scalar ``gain_at``; we assert it *stays*
+  declared inexact and that bulk results remain within a ~1-ulp
+  tolerance.
 * :func:`distance` — the scalar helper must match the equivalent numpy
   expression bit-for-bit (the reason it is not ``math.hypot``).
 """
@@ -103,7 +104,7 @@ class TestInexactModelContract:
         d = _sweep(model)
         bulk = model.gain_at_many(d)
         scalar = np.array([model.gain_at(float(x)) for x in d])
-        # The channel culls with floor*(1-1e-9); require far tighter here.
+        # The channel never uses these bulk values; bound their divergence.
         np.testing.assert_allclose(bulk, scalar, rtol=1e-12)
 
 

@@ -215,6 +215,8 @@ class TestTiedAndCollapsingDelays:
         assert any(
             len(set(t.offsets)) < len(t.offsets) for t in templates
         ), "no exactly tied delays formed"
+        # Ties stay in rank order, so none of them blocks riding a wave.
+        assert all(t.gap > 0.0 for t in templates)
 
     def test_delays_one_rounding_step_apart_fall_back(self):
         """Receivers 1e-9 m apart in distance, the nearer attached later:

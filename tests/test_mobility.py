@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from repro.config import MobilityConfig
 from repro.mobility.placement import grid_positions, line_positions, uniform_positions
 from repro.mobility.static import StaticMobility
 from repro.mobility.waypoint import RandomWaypoint
+from repro.phy.channel import Channel
+from repro.phy.propagation import TwoRayGround
+from repro.sim.kernel import Simulator
 
 
 class TestStatic:
@@ -249,3 +253,63 @@ class TestMovementEpochs:
             if epoch in seen:
                 assert seen[epoch] == pos
             seen[epoch] = pos
+
+
+def _leg_fleet(seed: int, speed: float) -> list:
+    """One node of each kind the channel's leg arrays must reproduce."""
+    cfg = MobilityConfig(speed_mps=speed, pause_s=0.5, field_width_m=300.0,
+                         field_height_m=200.0)
+    return [
+        RandomWaypoint(np.random.default_rng(seed), cfg, (10.0, 20.0)),
+        RandomWaypoint(np.random.default_rng(seed + 1), cfg, (150.0, 100.0),
+                       speed_range=(0.5, speed + 1.0)),
+        RandomWaypoint(np.random.default_rng(seed + 2), replace(cfg, pause_s=0.0),
+                       (0.0, 0.0)),
+        RandomWaypoint(np.random.default_rng(seed + 3), replace(cfg, speed_mps=0.0),
+                       (5.0, 5.0)),
+        StaticMobility((42.0, 7.5)),
+    ]
+
+
+class TestLegArrays:
+    """The channel's leg arrays give ``position_at`` bit for bit.
+
+    One fleet is read through :meth:`Channel._rows` (expired legs re-read
+    lazily, in a shuffled node order) and :meth:`Channel._positions`; an
+    identically seeded twin fleet is read through ``position_at``.  Query
+    times never decrease and often land exactly on a leg's end, where the
+    next leg starts (``t == t0``).
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        speed=st.sampled_from([1.0, 3.0, 30.0]),
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=4.0),
+                st.booleans(),
+                st.permutations(range(5)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_array_positions_equal_position_at(self, seed, speed, steps):
+        fleet, twins = _leg_fleet(seed, speed), _leg_fleet(seed, speed)
+        chan = Channel(Simulator(), TwoRayGround(), spatial_index=True,
+                       max_tx_power_w=1.0, max_speed_mps=speed + 1.0)
+        t, ends = 0.0, [math.inf]
+        for dt, to_leg_end, order in steps:
+            t = min(ends) if to_leg_end and min(ends) < math.inf else t + dt
+            seqs = np.array(order)
+            rows = chan._rows(seqs, [fleet[i] for i in order], t)
+            xs, ys = Channel._positions(rows, t)
+            for k, i in enumerate(order):
+                want = twins[i].position_at(t)
+                got = (xs[k].item(), ys[k].item())
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+            ends = [e for e in rows[6].tolist() if e > t]
+        for mob, twin in zip(fleet, twins):
+            if isinstance(mob, RandomWaypoint):
+                # Lazy advances drew exactly the twin's random numbers.
+                assert mob._rng.bit_generator.state == twin._rng.bit_generator.state

@@ -13,6 +13,13 @@ is tracked across PRs:
     PYTHONPATH=src python tools/bench_phy.py --rounds 50 --out /tmp/b.json
     PYTHONPATH=src python tools/bench_phy.py --no-mega  # classic sizes only
 
+The ``moving`` row is N = 50 at the dense (paper) density with nodes on
+never-pausing random-waypoint legs, so every transmit resolves afresh.
+To record a speedup against another revision, run this script with
+``PYTHONPATH`` pointing at that revision's ``src`` into a scratch file,
+then pass it as ``--baseline``: each row gains the baseline's
+``baseline_indexed_us_per_tx`` and ``speedup_vs_baseline``.
+
 Each cell reports the best-of-``--repeat`` mean microseconds per transmit
 (best-of damps scheduler noise; the mean is over ``--rounds`` rounds of
 ``TX_SAMPLE`` transmissions each).  Mega rows omit the brute column — the
@@ -33,17 +40,20 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from bench_grid import DENSITIES, MEGA_SIZES, SIZES, TX_SAMPLE  # noqa: E402
 from test_channel_fanout import (  # noqa: E402 - path set up above
+    MOVING_N,
     build_mode_world,
     fanout_round,
     make_frame,
 )
 
 
-def time_mode(n: int, density: float, mode: str, rounds: int, repeat: int) -> float:
+def time_mode(
+    n: int, density: float, mode: str, rounds: int, repeat: int, moving: bool
+) -> float:
     """Best-of-``repeat`` mean microseconds per transmit for one mode."""
     best = float("inf")
     for _ in range(repeat):
-        sim, chan, radios = build_mode_world(n, density, mode)
+        sim, chan, radios = build_mode_world(n, density, mode, moving=moving)
         srcs = radios[:TX_SAMPLE]
         frame = make_frame()
         fanout_round(sim, chan, srcs, frame)  # warm-up: caches, grid, heap
@@ -57,11 +67,11 @@ def time_mode(n: int, density: float, mode: str, rounds: int, repeat: int) -> fl
 
 def measure_cell(
     n: int, placement: str, density: float, modes: tuple[str, ...],
-    rounds: int, repeat: int,
+    rounds: int, repeat: int, moving: bool = False,
 ) -> dict:
     """One grid row: per-mode µs/tx plus the index's speedup over brute."""
     row: dict = {"n": n, "placement": placement}
-    timed = {m: time_mode(n, density, m, rounds, repeat) for m in modes}
+    timed = {m: time_mode(n, density, m, rounds, repeat, moving) for m in modes}
     for mode, us in timed.items():
         row[f"{mode}_us_per_tx"] = round(us, 2)
     parts = "   ".join(f"{m} {us:8.1f} us/tx" for m, us in timed.items())
@@ -85,6 +95,10 @@ def main(argv=None) -> int:
         "--no-mega", action="store_true",
         help="skip the N in {2000, 10000} columns (quick smoke)",
     )
+    ap.add_argument(
+        "--baseline", metavar="JSON",
+        help="an earlier output of this script to compare each row against",
+    )
     args = ap.parse_args(argv)
 
     results = []
@@ -101,10 +115,24 @@ def main(argv=None) -> int:
                 n, placement, density, ("indexed",),
                 args.mega_rounds, args.repeat,
             ))
+    results.append(measure_cell(
+        MOVING_N, "moving", DENSITIES["dense"], ("brute", "indexed"),
+        args.rounds, args.repeat, moving=True,
+    ))
+    if args.baseline:
+        base = json.loads(Path(args.baseline).read_text())["results"]
+        by_row = {(r["n"], r["placement"]): r for r in base}
+        for row in results:
+            old = by_row.get((row["n"], row["placement"]))
+            if old is not None:
+                row["baseline_indexed_us_per_tx"] = old["indexed_us_per_tx"]
+                row["speedup_vs_baseline"] = round(
+                    old["indexed_us_per_tx"] / row["indexed_us_per_tx"], 2
+                )
 
     payload = {
         "benchmark": "phy_channel_fanout",
-        "schema": 3,
+        "schema": 4,
         "generated_by": "tools/bench_phy.py",
         "config": {
             "tx_per_round": TX_SAMPLE,
@@ -114,7 +142,8 @@ def main(argv=None) -> int:
             "unit": "microseconds per transmit (fan-out + edge dispatch)",
             "note": (
                 "indexed = spatial index with one wave per transmission; "
-                "mega rows (n >= 2000) omit the brute column"
+                "mega rows (n >= 2000) omit the brute column; the moving "
+                "row's nodes never pause"
             ),
         },
         "results": results,
