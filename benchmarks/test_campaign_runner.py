@@ -2,14 +2,14 @@
 
 Times the same small protocol × load × seed grid three ways:
 
-* ``jobs=1`` — the serial baseline (what the pre-campaign sweep code did);
-* ``jobs=N`` — the multiprocessing pool (N = up to 4 workers);
+* ``jobs=1`` — one in-process worker, the serial baseline;
+* ``jobs=N`` — N supervised worker processes (N = up to 4);
 * cached    — a second invocation against a warm result store (pure hits).
 
 Prints one ``BENCH`` line with the three numbers and the parallel speedup
 so the trajectory of the runner is recorded alongside the figure benches.
-Determinism is asserted, not just timed: the pooled results must equal the
-serial ones field-for-field (wallclock aside).
+Determinism is asserted, not just timed: the parallel results must equal
+the serial ones field-for-field (wallclock aside).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import asdict
 
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import Campaign
-from repro.campaign.store import ResultStore
 from repro.config import MobilityConfig, ScenarioConfig, TrafficConfig
+from repro.fleet.shards import open_store
 
 
 def bench_grid() -> Campaign:
@@ -44,15 +44,15 @@ def _strip_wallclock(result) -> dict:
 def test_campaign_runner_scaling(benchmark, tmp_path, capsys):
     campaign = bench_grid()
     specs = campaign.specs()
-    # At least 2 workers so the pool path (not the serial shortcut) is what
-    # gets timed, even on single-core CI runners.
+    # At least 2 workers so worker processes (not the in-process worker)
+    # are what gets timed, even on single-core CI runners.
     jobs = max(2, min(4, os.cpu_count() or 1))
 
     t0 = time.perf_counter()
     serial = run_specs(specs, jobs=1)
     t_serial = time.perf_counter() - t0
 
-    store = ResultStore(tmp_path / "store")
+    store = open_store(tmp_path / "store")
     parallel = benchmark.pedantic(
         lambda: run_specs(specs, jobs=jobs, store=store), rounds=1, iterations=1
     )
@@ -62,7 +62,7 @@ def test_campaign_runner_scaling(benchmark, tmp_path, capsys):
     cached = run_specs(specs, jobs=jobs, store=store)
     t_cached = time.perf_counter() - t0
 
-    # Cross-process determinism: pool output == serial output.
+    # Cross-process determinism: parallel output == serial output.
     assert set(serial.results) == set(parallel.results)
     for key in serial.results:
         assert _strip_wallclock(serial.results[key]) == (

@@ -11,9 +11,9 @@ import io
 import os
 from typing import TextIO
 
-from repro.campaign.store import ResultStore
 from repro.experiments.scenario import ExperimentResult
 from repro.experiments.sweep import SweepResult
+from repro.fleet.shards import open_store
 
 #: Columns of the per-run CSV schema, in order.
 RESULT_FIELDS = (
@@ -56,7 +56,7 @@ def load_store_results(root: str | os.PathLike) -> list[ExperimentResult]:
     """
     if not os.path.isdir(root):
         raise FileNotFoundError(f"no campaign store at {os.fspath(root)!r}")
-    results = ResultStore(root).results()
+    results = open_store(root).results()
     results.sort(key=lambda r: (r.protocol, r.offered_load_kbps, r.seed))
     return results
 

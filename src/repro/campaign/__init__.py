@@ -3,16 +3,15 @@
 A *campaign* is a declarative grid of simulation runs.  Each cell is a
 :class:`~repro.campaign.spec.RunSpec` — a frozen, hashable description of one
 simulation (scenario config + protocol + optional scenario overrides) whose
-stable content hash keys a :class:`~repro.campaign.store.ResultStore`.  The
-:mod:`~repro.campaign.runner` fans specs out to a ``multiprocessing`` worker
-pool and memoises every finished cell in the store, so interrupted campaigns
-resume where they stopped and repeated invocations are pure cache hits.
-
-This is the architectural seam for scaling the reproduction: every future
-backend (remote executors, sharded stores) plugs in behind the same
-``specs → runner → store`` contract.  :mod:`repro.fleet` is the first such
-backend — lease-based work-stealing workers over a sharded store, reached
-through ``run_specs(fleet=True)`` or the ``repro fleet`` CLI.
+stable content hash keys the result store
+(:class:`~repro.campaign.store.ResultStore`, laid out by
+:class:`~repro.fleet.shards.ShardedResultStore`).  The
+:mod:`~repro.campaign.runner` enqueues pending specs into the store's
+:mod:`repro.fleet` work queue, drains it with one in-process worker or
+several supervised worker processes, and memoises every finished cell in
+the store, so interrupted campaigns resume where they stopped and repeated
+invocations are pure cache hits.  ``repro fleet`` drives the same queue
+from the command line.
 """
 
 from repro.campaign.runner import CampaignReport, run_campaign, run_specs

@@ -1,80 +1,72 @@
-"""Campaign executor: fan specs out to a worker pool, memoise in a store.
+"""Campaign executor: every pending cell drains through the fleet queue.
 
 The executor is deliberately dumb about *what* it runs: a spec is a sealed
-description, the worker just calls :meth:`RunSpec.run`.  Determinism falls
+description, a worker just calls :meth:`RunSpec.run`.  Determinism falls
 out of the spec design — every cell carries its own seed and the simulator
 is single-threaded per run — so a campaign at ``jobs=8`` produces results
-identical to the serial path, merely sooner.  Results are keyed by content
+identical to ``jobs=1``, merely sooner.  Results are keyed by content
 hash, which also makes the executor indifferent to completion order.
 
-``jobs=1`` bypasses ``multiprocessing`` entirely (no pickling, no fork), so
-the serial path stays debuggable and usable on platforms without working
-process pools.
+There is one execution path.  :func:`run_specs` serves cache hits from
+the store and returns at once when nothing is left — no queue, no
+process.  Otherwise it **enqueues** the pending cells into the store's
+durable work queue (:mod:`repro.fleet`) and **drains** it: with one worker
+(``min(jobs, pending) == 1``) a :class:`~repro.fleet.worker.FleetWorker`
+runs in this process (no fork, so it stays debuggable); with more,
+supervised worker processes claim cells under expiring leases while this
+process records each key the moment its task reaches a terminal state.
+Without a ``store`` a temporary one is used and removed on return.  So
+every campaign survives a SIGKILLed worker (its lease lapses and a
+sibling steals the run), can be joined by ``repro fleet work`` processes
+sharing the store, and executes a cell shared with an overlapping
+campaign once.
 
-Live telemetry (``telemetry=...``) swaps the worker entry point for
-:func:`repro.obs.telemetry.run_with_heartbeat`: each cell runs in sim-time
-slices and streams :class:`~repro.obs.telemetry.RunProgress` heartbeats
-back to the parent (over a manager queue in the pooled case), which also
-records per-run runtime stats into the store.  Results are bit-identical
-either way — slicing ``run_until`` does not change the dispatch order.
+Live telemetry (``telemetry=...``) receives the
+:class:`~repro.obs.telemetry.RunProgress` beats workers emit between
+sim-time slices — slicing ``run_until`` does not change the dispatch
+order, so results stay bit-identical.
 
 Failure containment
 -------------------
 A cell that raises does not kill the campaign: the worker catches the
-exception and ships a structured error back, the parent retries it up to
-``retries`` times with exponential backoff, and a cell that fails every
-attempt is recorded in the store as an error line (``ResultStore.put_error``
-— key, spec, exception kind/message/traceback, attempt count) while the
-remaining cells run to completion.  In the pooled path ``timeout_s`` bounds
-each cell's wall time; a hung (or hard-killed) worker is detected at the
-deadline, the pool is torn down and rebuilt, the overdue cell is charged an
-attempt, and innocent in-flight cells are resubmitted for free.  A
-``should_stop`` callback makes shutdown cooperative: once it returns True no
-new cell starts, in-flight cells drain, and the report covers everything
-that finished — the store then resumes the rest on the next invocation.
-
-Fleet mode
-----------
-``fleet=True`` swaps the worker pool for the fault-tolerant fleet
-(:mod:`repro.fleet`): pending cells are **enqueued** into the store's
-durable work queue, ``jobs`` supervised worker processes claim them under
-expiring leases, and the parent **drains** — polling the store and
-recording results/errors exactly as the serial and pooled paths do, so
-``run_specs``' API, progress lines, and telemetry are preserved.  The
-difference is what survives: a SIGKILLed worker's lease lapses and a
-sibling steals the run; a dead worker process is respawned (bounded) by
-the parent; external ``repro fleet work`` processes — same machine or a
-shared filesystem — can join the same queue and their results are picked
-up here; and identical cells from overlapping campaigns are executed once
-and shared through the content-addressed store.
+exception, releases the cell for another attempt while the queue's
+attempt budget (``retries + 1`` claims) lasts, and otherwise records a
+structured error (``ResultStore.put_error`` — key, spec, exception
+kind/message/traceback, attempts, lease owners) while the remaining cells
+run to completion.  ``timeout_s`` bounds each cell's wall time on worker
+processes: the parent terminates a worker whose current run is over
+budget, charges the run that attempt (a ``Timeout`` error once the budget
+is spent) and respawns the worker.  A ``should_stop`` callback makes
+shutdown cooperative: once it returns True no new cell starts, in-flight
+cells finish (a failing one is recorded rather than retried), and the
+report covers everything that finished — unfinished cells stay queued,
+and the store resumes them on the next invocation.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import shutil
 import signal
 import sys
+import tempfile
 import threading
 import time
 import traceback as _traceback
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.campaign.spec import Campaign, RunSpec
 from repro.campaign.store import ResultStore
-from repro.obs.telemetry import DEFAULT_SLICES, TelemetryFn, run_with_heartbeat
+from repro.obs.telemetry import DEFAULT_SLICES, TelemetryFn
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.scenario import ExperimentResult
+    from repro.fleet.lease import Lease
+    from repro.fleet.queue import WorkQueue
 
 ProgressFn = Callable[[str], None]
 StopFn = Callable[[], bool]
-
-
-def _execute(spec: RunSpec) -> tuple[str, "ExperimentResult"]:
-    """Worker entry point: run one cell (module-level for picklability)."""
-    return spec.key(), spec.run()
 
 
 #: Largest traceback stored in an error record [chars].  Hung or killed
@@ -128,52 +120,6 @@ def error_record(
     return record
 
 
-def _execute_safe(
-    args: tuple[RunSpec, int | None],
-) -> tuple[str, str, object, dict | None]:
-    """Pooled worker entry point that never raises.
-
-    Runs one cell (with heartbeats when ``slices`` is not None) and returns
-    ``("ok", key, result, runtime)`` — or catches the exception and returns
-    ``("err", key, error_dict, None)`` so one bad cell cannot poison the
-    pool's result stream.
-    """
-    spec, slices = args
-    key = spec.key()
-    try:
-        if slices is None:
-            return ("ok", key, spec.run(), None)
-        queue = _WORKER_QUEUE
-        emit = queue.put if queue is not None else (lambda progress: None)
-        result, runtime = run_with_heartbeat(spec, emit, slices=slices)
-        return ("ok", key, result, runtime)
-    except Exception as exc:  # noqa: BLE001 - containment is the point
-        return ("err", key, error_record(exc, attempts=0, label=spec.label()), None)
-
-
-#: Per-worker heartbeat queue, installed by the pool initializer.
-_WORKER_QUEUE = None
-
-
-def _init_worker(queue=None) -> None:
-    """Pool initializer: shield the worker from SIGINT and stash the
-    parent's heartbeat queue (None when telemetry is off).
-
-    Ctrl-C reaches the whole foreground process group; ignoring it in
-    workers lets in-flight cells finish while the parent's ``should_stop``
-    drains the campaign cooperatively.
-
-    SIGTERM must go back to SIG_DFL: forked workers inherit whatever
-    handler the parent CLI installed, and an inherited no-kill handler
-    would neuter ``Pool.terminate()`` — the parent would then block
-    forever in ``pool.join()`` waiting on an unkillable worker.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    global _WORKER_QUEUE
-    _WORKER_QUEUE = queue
-
-
 def _start_method() -> str:
     """Fork on Linux (cheap), spawn everywhere else.
 
@@ -225,60 +171,50 @@ def run_specs(
     slices: int = DEFAULT_SLICES,
     timeout_s: float | None = None,
     retries: int = 0,
-    backoff_s: float = 0.5,
     should_stop: StopFn | None = None,
-    fleet: bool = False,
     lease_ttl_s: float | None = None,
 ) -> CampaignReport:
     """Execute every spec, reusing stored results where possible.
 
     Args:
         specs: the cells to ensure results for (duplicates collapse).
-        jobs: worker process count; 1 = run serially in this process.
-        store: optional on-disk memo; finished cells are appended as they
-            complete, so an interrupted campaign resumes on the next call.
-        resume: when False, stored results are ignored (and overwritten) —
-            every cell is re-simulated.
+        jobs: worker count; 1 = one worker in this process.
+        store: on-disk memo and work queue (see
+            :func:`repro.fleet.shards.open_store`); finished cells land in
+            it as they complete, so an interrupted campaign resumes on the
+            next call.  None = a temporary store, removed on return.
+        resume: when False, stored results are ignored — every cell is
+            re-simulated (the store keeps its first line per key).
         progress: optional callback receiving one line per finished cell.
         telemetry: optional callback receiving
             :class:`~repro.obs.telemetry.RunProgress` heartbeats while
-            cells execute (live progress).  Enables per-run runtime stats
-            in the store.  Called from a drainer thread when ``jobs > 1``.
-        slices: heartbeats per run when telemetry is on.
-        timeout_s: per-cell wall-clock budget (pooled path only — a single
-            process cannot interrupt its own run).  An overdue cell is
-            treated as a crashed attempt: the pool is rebuilt and the cell
-            retried or recorded as an error.
+            cells execute (live progress).  Called from a drainer thread
+            when cells run on worker processes.
+        slices: sim-time slices per run (heartbeat and lease-renewal
+            points).
+        timeout_s: per-cell wall-clock budget, enforced on worker
+            processes (``jobs > 1``; one process cannot interrupt its own
+            run).  An overdue cell's worker is terminated and respawned;
+            the overdue attempt counts against ``retries``, and a cell out
+            of attempts is recorded as a ``Timeout`` error.
         retries: extra attempts per failing cell before it is recorded as
             a permanent error (0 = record on the first failure).
-        backoff_s: base delay before a retry; attempt ``n`` waits
-            ``backoff_s * 2**(n-1)``.
         should_stop: cooperative-shutdown poll — once it returns True no
             new cell starts; in-flight cells drain and the report's
             ``stopped`` flag is set.
-        fleet: route pending cells through the durable fleet queue
-            (lease-based work-stealing, supervised workers, shared
-            content-addressed cache) instead of a plain pool.  Requires a
-            ``store``; ``retries`` maps to the fleet's per-run attempt
-            budget (``retries + 1`` claims) and ``timeout_s`` is
-            subsumed by lease expiry.
-        lease_ttl_s: fleet-mode lease validity window [s] (None = the
-            fleet default); leases are renewed every telemetry slice.
+        lease_ttl_s: lease validity window [s] (None = the fleet
+            default).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    if fleet and store is None:
-        raise ValueError("fleet=True requires a store (the queue lives in it)")
     t0 = time.perf_counter()
     report = CampaignReport()
 
-    pending: list[RunSpec] = []
-    seen: set[str] = set()
+    pending: dict[str, RunSpec] = {}
     for spec in specs:
         key = spec.key()
-        if key in seen:
+        if key in pending or key in report.results:
             continue
-        seen.add(key)
         cached = store.get(key) if (store is not None and resume) else None
         if cached is not None:
             report.results[key] = cached
@@ -286,38 +222,61 @@ def run_specs(
             if progress is not None:
                 progress(f"[cached] {cached.row()}  seed={cached.seed}")
         else:
-            pending.append(spec)
+            pending[key] = spec
 
-    def record(
-        spec: RunSpec,
-        key: str,
-        result: "ExperimentResult",
-        runtime: dict | None = None,
-        *,
-        persist: bool = True,
-    ) -> None:
-        report.results[key] = result
-        report.executed += 1
-        if store is not None and persist:
-            store.put(spec, result, runtime=runtime)
-        if progress is not None:
-            progress(
-                f"[{report.executed}/{len(pending)}] {result.row()}"
-                f"  seed={result.seed}"
-            )
+    if pending:
+        from repro.fleet.queue import DEFAULT_LEASE_TTL_S
+        from repro.fleet.shards import open_store
 
-    def record_error(
-        spec: RunSpec, key: str, error: dict, *, persist: bool = True
-    ) -> None:
-        report.errors[key] = error
-        if store is not None and persist:
-            store.put_error(spec, error)
-        if progress is not None:
-            progress(
-                f"[failed] {spec.protocol} load={spec.load_kbps} "
-                f"seed={spec.seed}: {error['kind']}: {error['message']} "
-                f"(attempts={error['attempts']})"
+        temporary = store is None
+        if temporary:
+            store = open_store(tempfile.mkdtemp(prefix="repro-campaign-"))
+        try:
+            _drain(
+                pending,
+                store,
+                report,
+                jobs=jobs,
+                resume=resume,
+                progress=progress,
+                telemetry=telemetry,
+                timeout_s=timeout_s,
+                should_stop=should_stop,
+                worker={
+                    "lease_ttl_s": lease_ttl_s or DEFAULT_LEASE_TTL_S,
+                    "max_attempts": retries + 1,
+                    "slices": slices,
+                },
             )
+        finally:
+            if temporary:
+                shutil.rmtree(store.root, ignore_errors=True)
+
+    report.wallclock_s = time.perf_counter() - t0
+    return report
+
+
+def _drain(
+    pending: dict[str, RunSpec],
+    store: ResultStore,
+    report: CampaignReport,
+    *,
+    jobs: int,
+    resume: bool,
+    progress: ProgressFn | None,
+    telemetry: TelemetryFn | None,
+    timeout_s: float | None,
+    should_stop: StopFn | None,
+    worker: dict,
+) -> None:
+    """Enqueue ``pending`` into the store's work queue and drain it.
+
+    A key is done once its task is terminal (the queue file is gone — a
+    worker removes it only after the result or error is durably stored),
+    so each key is read back from the store exactly once.
+    """
+    from repro.fleet.queue import WorkQueue
+    from repro.fleet.worker import FleetWorker
 
     def stopping() -> bool:
         if should_stop is not None and should_stop():
@@ -325,76 +284,81 @@ def run_specs(
             return True
         return False
 
-    if fleet:
-        _run_fleet(
-            pending,
-            jobs=jobs,
-            store=store,
-            report=report,
-            record=record,
-            record_error=record_error,
-            stopping=stopping,
-            telemetry=telemetry,
-            slices=slices,
-            retries=retries,
-            lease_ttl_s=lease_ttl_s,
-        )
-    elif jobs == 1 or len(pending) <= 1:
-        for spec in pending:
-            if stopping():
-                break
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    if telemetry is not None:
-                        result, runtime = run_with_heartbeat(
-                            spec, telemetry, slices=slices
-                        )
-                        record(spec, spec.key(), result, runtime)
-                    else:
-                        key, result = _execute(spec)
-                        record(spec, key, result)
-                    break
-                except Exception as exc:  # noqa: BLE001 - containment
-                    if attempt > retries or stopping():
-                        record_error(
-                            spec,
-                            spec.key(),
-                            error_record(exc, attempt, label=spec.label()),
-                        )
-                        break
-                    time.sleep(backoff_s * 2 ** (attempt - 1))
-    else:
-        _run_pooled(
-            pending,
-            jobs=jobs,
-            record=record,
-            record_error=record_error,
-            stopping=stopping,
-            telemetry=telemetry,
-            slices=slices,
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-        )
+    queue = WorkQueue(store.root / "fleet")
+    queue.clear_stop()
+    for spec in pending.values():
+        queue.enqueue(spec, rerun=not resume)
+    undone = dict(pending)
 
-    report.wallclock_s = time.perf_counter() - t0
-    return report
+    def collect() -> None:
+        """Record every pending key whose task reached a terminal state."""
+        live = queue.live_keys()
+        finished = [key for key in undone if key not in live]
+        if not finished:
+            return
+        store.refresh()
+        for key in finished:
+            spec = undone.pop(key)
+            result = store.get(key)
+            if result is not None:
+                report.results[key] = result
+                report.executed += 1
+                if progress is not None:
+                    progress(
+                        f"[{report.executed}/{len(pending)}] {result.row()}"
+                        f"  seed={result.seed}"
+                    )
+                continue
+            error = store.error(key)
+            if error is None:
+                continue  # task removed by hand: nothing to report
+            report.errors[key] = error
+            if progress is not None:
+                progress(
+                    f"[failed] {spec.protocol} load={spec.load_kbps} "
+                    f"seed={spec.seed}: {error['kind']}: {error['message']} "
+                    f"(attempts={error['attempts']})"
+                )
+
+    if min(jobs, len(pending)) == 1:
+
+        def between_runs() -> bool:
+            collect()
+            return not undone or stopping()
+
+        FleetWorker(store, queue, telemetry=telemetry, **worker).run(
+            should_stop=between_runs
+        )
+        collect()
+    elif not stopping():
+        _supervise(
+            queue,
+            store,
+            report,
+            undone,
+            collect,
+            stopping,
+            workers=min(jobs, len(pending)),
+            telemetry=telemetry,
+            timeout_s=timeout_s,
+            worker=worker,
+        )
 
 
 def _fleet_worker_entry(
     store_root: str,
-    options: dict,
-    queue=None,
+    worker: dict,
+    keys: frozenset[str],
+    telemetry_queue=None,
 ) -> None:
-    """Entry point of one fleet worker process (module-level: picklable).
+    """Entry point of one supervised worker process (module-level: picklable).
 
     Reconstructs the shared store/queue from the filesystem and runs the
-    claim loop until the queue drains or a STOP is requested.  Signal
-    policy matches the pool workers: SIGINT ignored (the parent drains
-    cooperatively), SIGTERM back to SIG_DFL so the parent can reap a
-    stuck worker.
+    claim loop until every task of ``keys`` is terminal or a STOP is
+    requested.  Ctrl-C reaches the whole foreground process group, so
+    SIGINT is ignored here (the parent drains cooperatively); SIGTERM goes
+    back to SIG_DFL, since a forked worker inherits the CLI's no-kill
+    handler and the parent must be able to terminate an overdue worker.
     """
     from repro.fleet.queue import WorkQueue
     from repro.fleet.shards import open_store
@@ -403,139 +367,127 @@ def _fleet_worker_entry(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     store = open_store(store_root)
-    work_queue = WorkQueue(store.root / "fleet")
-    telemetry = queue.put if queue is not None else None
-    FleetWorker(
-        store,
-        work_queue,
-        lease_ttl_s=options["lease_ttl_s"],
-        max_attempts=options["max_attempts"],
-        slices=options["slices"],
-        telemetry=telemetry,
-    ).run()
+    queue = WorkQueue(store.root / "fleet")
+    telemetry = telemetry_queue.put if telemetry_queue is not None else None
+    FleetWorker(store, queue, telemetry=telemetry, **worker).run(
+        poll_s=0.02,  # an idle tail delays the campaign's return
+        should_stop=lambda: keys.isdisjoint(queue.live_keys()),
+    )
 
 
-def _run_fleet(
-    pending: Sequence[RunSpec],
-    *,
-    jobs: int,
+def _supervise(
+    queue: "WorkQueue",
     store: ResultStore,
     report: CampaignReport,
-    record: Callable,
-    record_error: Callable,
+    undone: dict[str, RunSpec],
+    collect: Callable[[], None],
     stopping: StopFn,
+    *,
+    workers: int,
     telemetry: TelemetryFn | None,
-    slices: int,
-    retries: int,
-    lease_ttl_s: float | None,
+    timeout_s: float | None,
+    worker: dict,
 ) -> None:
-    """Enqueue-then-drain through the durable fleet queue.
+    """Run ``workers`` worker processes until every key in ``undone`` is done.
 
-    The parent never executes cells: it enqueues them, spawns ``jobs``
-    supervised worker processes, and polls the store — recording each key
-    the moment some worker (ours or anyone else's on the shared
-    filesystem) lands its result.  Worker death is survivable twice over:
-    the dead worker's leases lapse and are stolen by siblings, and the
-    parent respawns missing processes (bounded) while claimable work
-    remains.  A cooperative stop raises the queue's STOP flag: workers
-    finish their current run and exit; unclaimed tasks stay queued for
-    the next invocation to resume.
+    Worker death is survivable twice over: the dead worker's leases lapse
+    and are stolen by siblings, and missing processes are respawned
+    (bounded) while cells remain.  A cooperative stop raises the queue's
+    STOP flag: workers finish their current run and exit; unclaimed tasks
+    stay queued for the next invocation to resume.
     """
-    from repro.fleet.queue import DEFAULT_LEASE_TTL_S, WorkQueue
+    from repro.fleet.lease import worker_identity
 
-    work_queue = WorkQueue(store.root / "fleet")
-    work_queue.clear_stop()
-    for spec in pending:
-        work_queue.enqueue(spec)
-    by_key = {spec.key(): spec for spec in pending}
-
-    options = {
-        "lease_ttl_s": lease_ttl_s or DEFAULT_LEASE_TTL_S,
-        "max_attempts": retries + 1,
-        "slices": slices,
-    }
     ctx = multiprocessing.get_context(_start_method())
-    manager = queue = drainer = None
+    manager = telemetry_queue = drainer = None
     if telemetry is not None:
+        # Workers stream heartbeats over a manager queue; a drainer thread
+        # forwards them to the callback so the drain loop never blocks.
         manager = ctx.Manager()
-        queue = manager.Queue()
+        telemetry_queue = manager.Queue()
 
-        def drain() -> None:
+        def forward() -> None:
             while True:
-                item = queue.get()
+                item = telemetry_queue.get()
                 if item is None:
                     return
                 telemetry(item)
 
-        drainer = threading.Thread(target=drain, daemon=True)
+        drainer = threading.Thread(target=forward, daemon=True)
         drainer.start()
 
-    def spawn():
+    keys = frozenset(undone)
+    ids = [""] * workers  # the current worker id in each slot
+
+    def spawn(slot: int):
+        ids[slot] = worker_identity()
         proc = ctx.Process(
             target=_fleet_worker_entry,
-            args=(str(store.root), options, queue),
+            args=(
+                str(store.root),
+                {**worker, "worker_id": ids[slot]},
+                keys,
+                telemetry_queue,
+            ),
         )
         proc.start()
         return proc
 
-    workers = [spawn() for _ in range(max(1, min(jobs, len(pending))))]
+    procs = [spawn(i) for i in range(workers)]
     #: Supervision budget: a crashed worker is replaced, but a hard fault
     #: that kills every replacement cannot respawn forever.
-    respawns_left = 2 * len(workers)
-    done: set[str] = set()
+    respawns_left = 2 * workers
     stop_sent = False
     try:
-        while len(done) < len(by_key):
+        while True:
+            # Liveness before collecting: a worker that exited because the
+            # campaign finished has its last key recorded below.
+            dead = [i for i, proc in enumerate(procs) if not proc.is_alive()]
+            collect()
+            if not undone:
+                break
             if not stop_sent and stopping():
-                work_queue.request_stop()
+                queue.request_stop()
                 stop_sent = True
-            store.refresh()
-            for key, spec in by_key.items():
-                if key in done:
-                    continue
-                result = store.get(key)
-                if result is not None:
-                    # The worker already persisted it — report only.
-                    record(
-                        spec, key, result,
-                        store.runtime_stats(key) or None,
-                        persist=False,
-                    )
-                    done.add(key)
-                    continue
-                error = store.error(key)
-                if error is not None and work_queue.task(key) is None:
-                    # Terminal: the error is recorded AND the task retired
-                    # (an error line alone may predate a re-enqueue).  The
-                    # worker already persisted it — report only.
-                    record_error(spec, key, error, persist=False)
-                    done.add(key)
-            alive = [w for w in workers if w.is_alive()]
-            if not stop_sent and len(done) < len(by_key):
-                for i, proc in enumerate(workers):
+            if timeout_s is not None:
+                now = queue.clock()
+                for lease in queue.leases():
                     if (
-                        not proc.is_alive()
-                        and not work_queue.drained()
-                        and respawns_left > 0
+                        lease.owner in ids
+                        and lease.key in undone
+                        and now - lease.acquired_at > timeout_s
                     ):
-                        respawns_left -= 1
-                        workers[i] = spawn()
-                        alive.append(workers[i])
-            if not alive:
-                if stop_sent:
+                        i = ids.index(lease.owner)
+                        procs[i].terminate()
+                        procs[i].join()
+                        queue.clear_heartbeat(lease.owner)
+                        _expire(
+                            queue,
+                            store,
+                            lease,
+                            undone[lease.key],
+                            timeout_s=timeout_s,
+                            max_attempts=worker["max_attempts"],
+                            final=stop_sent,
+                        )
+                        procs[i] = spawn(i)
+            if stop_sent:
+                if len(dead) == len(procs):
                     break
-                if not work_queue.drained() and respawns_left <= 0:
-                    # Every worker (and every replacement) died with work
+            else:
+                for i in dead:
+                    if respawns_left > 0:
+                        respawns_left -= 1
+                        procs[i] = spawn(i)
+                if not any(proc.is_alive() for proc in procs):
+                    # Every worker (and every replacement) died with cells
                     # still queued: stop rather than spin forever.  The
                     # unfinished cells stay queued for a resume.
                     report.stopped = True
                     break
-                # Queue drained with workers gone: the remaining keys are
-                # terminal on disk — the next refresh records them.
-            if len(done) < len(by_key):
-                time.sleep(0.05)
+            time.sleep(0.02)
     finally:
-        for proc in workers:
+        for proc in procs:
             proc.join(timeout=10.0)
             if proc.is_alive():  # pragma: no cover - defensive teardown
                 proc.terminate()
@@ -543,175 +495,51 @@ def _run_fleet(
         # Our STOP must not wedge external `repro fleet work` processes
         # that outlive this invocation.
         if stop_sent:
-            work_queue.clear_stop()
-        if queue is not None:
-            queue.put(None)
+            queue.clear_stop()
+        if telemetry_queue is not None:
+            telemetry_queue.put(None)
             drainer.join()
             manager.shutdown()
 
 
-def _run_pooled(
-    pending: Sequence[RunSpec],
+def _expire(
+    queue: "WorkQueue",
+    store: ResultStore,
+    lease: "Lease",
+    spec: RunSpec,
     *,
-    jobs: int,
-    record: Callable,
-    record_error: Callable,
-    stopping: StopFn,
-    telemetry: TelemetryFn | None,
-    slices: int,
-    timeout_s: float | None,
-    retries: int,
-    backoff_s: float,
+    timeout_s: float,
+    max_attempts: int,
+    final: bool,
 ) -> None:
-    """Bounded-submission pool loop with retry, timeout, and clean drain.
+    """Charge an overdue run its attempt: release it, or record a Timeout.
 
-    Cells are submitted via ``apply_async`` (at most ``jobs`` in flight) so
-    the parent can watch each cell's wall clock.  A cell whose worker
-    raised comes back as a structured error (see :func:`_execute_safe`) and
-    is retried with exponential backoff; a cell that blows ``timeout_s``
-    means a hung or hard-killed worker, which ``Pool`` cannot surface — the
-    whole pool is terminated and rebuilt, the overdue cell is charged an
-    attempt, and innocent in-flight cells are resubmitted without penalty.
+    The run's worker is already terminated; its claim counted the attempt.
     """
-    ctx = multiprocessing.get_context(_start_method())
-    manager = queue = drainer = None
-    if telemetry is not None:
-        # Workers stream heartbeats over a manager queue; a drainer thread
-        # in the parent forwards them to the callback so the result loop
-        # below never blocks on telemetry.
-        manager = ctx.Manager()
-        queue = manager.Queue()
+    from repro.fleet.lease import LeaseLost
+    from repro.fleet.queue import Claimed
 
-        def drain() -> None:
-            while True:
-                item = queue.get()
-                if item is None:
-                    return
-                telemetry(item)
-
-        drainer = threading.Thread(target=drain, daemon=True)
-        drainer.start()
-
-    def make_pool():
-        return ctx.Pool(
-            processes=min(jobs, len(pending)),
-            initializer=_init_worker,
-            initargs=(queue,),
-        )
-
-    worker_slices = slices if telemetry is not None else None
-    attempts: dict[str, int] = {}
-    #: (spec, earliest monotonic submit time) — retries wait out backoff.
-    todo: deque[tuple[RunSpec, float]] = deque((s, 0.0) for s in pending)
-    #: key → (async result, spec, monotonic start time).
-    inflight: dict[str, tuple] = {}
-    pool = make_pool()
+    task = queue.task(lease.key)
+    if task is None:
+        return  # it finished right at the deadline
+    claimed = Claimed(spec=spec, lease=lease, task=task)
+    error = {
+        "kind": "Timeout",
+        "message": f"cell exceeded timeout_s={timeout_s}",
+        "traceback": "",
+        "label": spec.label(),
+        **claimed.error_metadata(),
+    }
     try:
-        draining = False
-        while todo or inflight:
-            if not draining and stopping():
-                # Cooperative shutdown: drop queued cells, drain in-flight.
-                draining = True
-                todo.clear()
-            now = time.monotonic()
-            while todo and len(inflight) < jobs:
-                spec, not_before = todo[0]
-                if not_before > now:
-                    break  # head is backing off; poll in-flight meanwhile
-                todo.popleft()
-                async_result = pool.apply_async(
-                    _execute_safe, ((spec, worker_slices),)
-                )
-                inflight[spec.key()] = (async_result, spec, time.monotonic())
-
-            done = [k for k, (ar, _, _) in inflight.items() if ar.ready()]
-            for k in done:
-                async_result, spec, _ = inflight.pop(k)
-                status, key, payload, runtime = async_result.get()
-                if status == "ok":
-                    record(spec, key, payload, runtime)
-                    continue
-                attempts[key] = attempts.get(key, 0) + 1
-                if attempts[key] > retries or draining:
-                    # Out of retries — or shutting down, where starting a
-                    # fresh attempt would silently restart work the user
-                    # just asked to stop.
-                    payload["attempts"] = attempts[key]
-                    record_error(spec, key, payload)
-                else:
-                    delay = backoff_s * 2 ** (attempts[key] - 1)
-                    todo.append((spec, time.monotonic() + delay))
-
-            if timeout_s is not None and inflight:
-                now = time.monotonic()
-                overdue = [
-                    (k, spec)
-                    for k, (_, spec, started) in inflight.items()
-                    if now - started > timeout_s
-                ]
-                if overdue:
-                    # A hung worker holds its pool slot forever; the only
-                    # recovery multiprocessing offers is a full teardown.
-                    pool.terminate()
-                    pool.join()
-                    victims = {k for k, _ in overdue}
-                    for k, (_, spec, _) in inflight.items():
-                        if k in victims:
-                            attempts[k] = attempts.get(k, 0) + 1
-                            if attempts[k] > retries or draining:
-                                record_error(
-                                    spec,
-                                    k,
-                                    {
-                                        "kind": "Timeout",
-                                        "message": (
-                                            f"cell exceeded timeout_s="
-                                            f"{timeout_s}"
-                                        ),
-                                        "traceback": "",
-                                        "attempts": attempts[k],
-                                        "label": spec.label(),
-                                    },
-                                )
-                                continue
-                            delay = backoff_s * 2 ** (attempts[k] - 1)
-                            todo.append((spec, time.monotonic() + delay))
-                        else:
-                            # Innocent bystander: resubmit without penalty.
-                            todo.appendleft((spec, 0.0))
-                    inflight.clear()
-                    pool = make_pool()
-
-            if inflight or todo:
-                time.sleep(0.02)
-        pool.close()
-        pool.join()
-    finally:
-        pool.terminate()
-        pool.join()
-        if queue is not None:
-            queue.put(None)
-            drainer.join()
-            manager.shutdown()
+        if final or error["attempts"] >= max_attempts:
+            store.put_error(spec, error)
+            queue.discard(claimed)
+        else:
+            queue.release(lease, reason="Timeout", error=error)
+    except LeaseLost:
+        pass  # stolen meanwhile: the thief owns the outcome
 
 
-def run_campaign(
-    campaign: Campaign,
-    *,
-    jobs: int = 1,
-    store: ResultStore | None = None,
-    resume: bool = True,
-    progress: ProgressFn | None = None,
-    telemetry: TelemetryFn | None = None,
-    slices: int = DEFAULT_SLICES,
-) -> CampaignReport:
-    """Expand a grid campaign and execute it (see :func:`run_specs`)."""
-    return run_specs(
-        campaign.specs(),
-        jobs=jobs,
-        store=store,
-        resume=resume,
-        progress=progress,
-        telemetry=telemetry,
-        slices=slices,
-    )
+def run_campaign(campaign: Campaign, **options) -> CampaignReport:
+    """Expand a grid campaign and execute it (``options``: :func:`run_specs`)."""
+    return run_specs(campaign.specs(), **options)

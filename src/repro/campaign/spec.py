@@ -11,7 +11,7 @@ value type it can be
   results stay addressable by **what** ran, not by the Python call-site
   that ran it (``repro quick --scenario spec.json`` and a campaign cell
   describing the same scenario share a key),
-* pickled across process boundaries for the worker pool, and
+* serialized into the fleet's work queue and rebuilt by any worker, and
 * re-expanded into an identical simulation anywhere, any time.
 
 The historical constructor ``RunSpec(cfg, protocol, positions=..., ...)``
@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.config import ScenarioConfig
+from repro.obs.telemetry import DEFAULT_SLICES, TelemetryFn, run_sliced
 from repro.registry import registry
 from repro.scenariospec import SCENARIO_SCHEMA_VERSION, ScenarioSpec
 
@@ -126,9 +127,21 @@ class RunSpec:
         """Wire the network this spec describes."""
         return self.scenario.build()
 
-    def run(self) -> "ExperimentResult":
-        """Build and execute the cell, returning its summary."""
-        return self.scenario.run()
+    def run(
+        self,
+        progress: TelemetryFn | None = None,
+        *,
+        slices: int = DEFAULT_SLICES,
+    ) -> "ExperimentResult":
+        """Build and execute the cell, returning its summary.
+
+        With ``progress`` the cell runs in ``slices`` sim-time slices and
+        ``progress`` receives a :class:`~repro.obs.telemetry.RunProgress`
+        after each (see :func:`~repro.obs.telemetry.run_sliced`).
+        """
+        if progress is None:
+            return self.scenario.run()
+        return run_sliced(self, progress, slices=slices)
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,27 @@
 """On-disk result store, content-addressed by :meth:`RunSpec.key`.
 
-Layout of a store directory::
+:class:`ResultStore` is the layout-independent core: the in-memory index,
+the JSONL line format, durable appends, incremental refresh and corrupt-line
+quarantine.  The one concrete layout is
+:class:`~repro.fleet.shards.ShardedResultStore` (key-prefix shards with
+per-shard writer locks), and :func:`repro.fleet.shards.open_store` is how
+every caller opens a store directory.  A flat ``results.jsonl`` written by
+older versions is only a migration input: opening its directory folds the
+lines into shards once.
 
-    <root>/
-        results.jsonl     # one JSON object per finished cell, append-only
-        meta.json         # store format version + spec schema version
-
-Each ``results.jsonl`` line is ``{"key", "spec", "result"}`` (plus an
-optional ``"runtime"`` — machine-local execution stats recorded when the
-campaign ran with telemetry) where ``spec``
+Each JSONL line is ``{"key", "spec", "result"}`` (plus an optional
+``"runtime"`` — machine-local execution stats of the run) where ``spec``
 is an audit record (protocol / load / seed plus the full serialized
 :class:`~repro.scenariospec.ScenarioSpec` under ``"scenario"`` — re-runnable
 via ``ScenarioSpec.from_dict``, though addressing is always by ``key``) and
 ``result`` the serialised
 :class:`~repro.experiments.scenario.ExperimentResult`.  A run that failed
-permanently (worker crash after every retry) is recorded as a ``{"key",
-"spec", "error"}`` line instead — the error is inspectable via
-:meth:`ResultStore.error` but the key stays *absent* from the result index,
-so a resumed campaign re-runs it.  Appending after every
-finished run makes interruption safe: a killed campaign keeps every completed
-cell, and the next invocation against the same store resumes from there.
+permanently is recorded as a ``{"key", "spec", "error"}`` line instead —
+the error is inspectable via :meth:`ResultStore.error` but the key stays
+*absent* from the result index, so a resumed campaign re-runs it.
+Appending after every finished run makes interruption safe: a killed
+campaign keeps every completed cell, and the next invocation against the
+same store resumes from there.
 
 Writes are durable before they are visible: ``_append`` flushes and fsyncs
 the line (and, on file creation, the containing directory) *before* the
@@ -35,12 +37,12 @@ another writer and held back until it completes.
 
 Unparseable lines (a torn tail from an interrupted write, or bytes mangled
 by a filesystem fault) are **quarantined** on load: they are moved to a
-``results.jsonl.corrupt`` sidecar, the main file is atomically rewritten
-without them, and a warning reports the counts — nothing is silently
-dropped, and the main file is clean again for the next append.  Lines
-already present in the sidecar are not appended twice, and a sidecar that
-merely persists across loads (without gaining new lines) does not re-warn.
-When a key appears more than once the last line wins.
+``<file>.corrupt`` sidecar, the file is atomically rewritten without them,
+and a warning reports the counts — nothing is silently dropped, and the
+file is clean again for the next append.  Lines already present in the
+sidecar are not appended twice, and a sidecar that merely persists across
+loads (without gaining new lines) does not re-warn.  When a key appears
+more than once the last line wins.
 """
 
 from __future__ import annotations
@@ -48,18 +50,17 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from abc import ABC, abstractmethod
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from repro.campaign.spec import SPEC_SCHEMA_VERSION, RunSpec
+from repro.campaign.spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.scenario import ExperimentResult
 
-#: Bump when the on-disk layout itself changes shape.
-STORE_FORMAT_VERSION = 1
-
+#: The flat pre-shard layout's file, read only to migrate it.
 RESULTS_FILE = "results.jsonl"
 META_FILE = "meta.json"
 #: Sidecar receiving lines the loader could not parse (never deleted).
@@ -112,19 +113,20 @@ def result_from_dict(data: dict) -> "ExperimentResult":
     return ExperimentResult(**payload)
 
 
-class ResultStore:
+class ResultStore(ABC):
     """Append-only JSONL store of finished campaign cells.
 
-    The in-memory index mirrors the file; ``put`` appends one durable line
+    The in-memory index mirrors the files; ``put`` appends one durable line
     *then* updates the index, so a crash loses at most the cell being
     written and never leaves the index ahead of the disk.  ``refresh``
     ingests lines other processes appended since the last read.
+    Subclasses define the layout: which files hold lines, which file a key
+    appends to, and the ``meta.json`` self-description.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.path = self.root / RESULTS_FILE
         self._index: dict[str, "ExperimentResult"] = {}
         self._specs: dict[str, dict] = {}
         self._runtimes: dict[str, dict] = {}
@@ -134,14 +136,21 @@ class ResultStore:
         self._write_meta()
         self._load()
 
-    # ------------------------------------------------------------------ disk
+    # ---------------------------------------------------------------- layout
 
+    @abstractmethod
     def _meta(self) -> dict:
         """The store's self-description, persisted as ``meta.json``."""
-        return {
-            "store_format": STORE_FORMAT_VERSION,
-            "spec_schema": SPEC_SCHEMA_VERSION,
-        }
+
+    @abstractmethod
+    def _result_files(self) -> list[Path]:
+        """Every JSONL file holding result lines."""
+
+    @abstractmethod
+    def _file_for(self, key: str) -> Path:
+        """The JSONL file new lines for ``key`` are appended to."""
+
+    # ------------------------------------------------------------------ disk
 
     def _write_meta(self) -> None:
         meta_path = self.root / META_FILE
@@ -156,14 +165,6 @@ class ResultStore:
             # spec schema, whose keys no longer match anyway): refresh so the
             # store's self-description matches what gets appended from now on.
         meta_path.write_text(json.dumps(meta, indent=2) + "\n")
-
-    def _result_files(self) -> list[Path]:
-        """Every JSONL file holding result lines (one for the flat layout)."""
-        return [self.path]
-
-    def _file_for(self, key: str) -> Path:
-        """The JSONL file new lines for ``key`` are appended to."""
-        return self.path
 
     def _load(self) -> None:
         for path in self._result_files():
@@ -185,8 +186,7 @@ class ResultStore:
         """Like :meth:`refresh`, but only for the file holding ``key``.
 
         The cheap single-key staleness check fleet workers use on the
-        cache-hit path — one ``stat`` for a sharded store instead of one
-        per shard.
+        cache-hit path — one ``stat`` instead of one per shard.
         """
         self._read_file(self._file_for(key), tail_is_torn=False)
 
@@ -278,19 +278,8 @@ class ResultStore:
             }
         fresh = [line for line in bad if line not in already]
         if fresh:
-            with sidecar.open("a", encoding="utf-8") as fh:
-                for line in fresh:
-                    fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for line in good:
-                fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(path)
-        self._dirsync(path.parent)
+            self._write_lines(sidecar, fresh)
+        self._rewrite(path, good)
         self._offsets[path] = (path.stat().st_ino, path.stat().st_size)
         if fresh:
             warnings.warn(
@@ -312,6 +301,22 @@ class ResultStore:
         except (json.JSONDecodeError, KeyError, TypeError):
             return False
         return True
+
+    @staticmethod
+    def _write_lines(path: Path, lines: list[str], mode: str = "a") -> None:
+        """Write ``lines`` (one per line) and fsync before returning."""
+        with path.open(mode, encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+
+    def _rewrite(self, path: Path, lines: list[str]) -> None:
+        """Atomically replace ``path`` with ``lines`` (tmp + fsync + rename)."""
+        tmp = path.with_name(path.name + ".tmp")
+        self._write_lines(tmp, lines, mode="w")
+        tmp.replace(path)
+        self._dirsync(path.parent)
 
     @staticmethod
     def _dirsync(directory: Path) -> None:
@@ -370,24 +375,18 @@ class ResultStore:
         return dict(self._errors)
 
     def _append(self, record: dict) -> None:
-        """Durably append one JSONL record to its home file."""
-        self._append_to(self._file_for(record["key"]), record)
-
-    def _append_to(self, path: Path, record: dict) -> None:
-        """Durably append one JSONL record (write, flush, fsync).
+        """Durably append one JSONL record to its home file.
 
         The containing directory is fsynced when the file is created, so
         the new directory entry survives a crash too.  Callers update the
         in-memory index only *after* this returns — disk first, index
         second — which is what makes a mid-put crash recoverable.
         """
+        path = self._file_for(record["key"])
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         created = not path.exists()
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._write_lines(path, [line])
         if created:
             self._dirsync(path.parent)
 

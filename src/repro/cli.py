@@ -77,7 +77,7 @@ DEFAULT_TRACE_CATEGORIES = "app.tx,app.rx,mac.drop,net.drop,mac.handshake"
 
 def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (1 = serial)")
+                   help="workers (1 = one worker in this process)")
     p.add_argument("--store", type=str, default="",
                    help="result store directory (enables caching/resume)")
     p.add_argument("--resume", dest="resume", action="store_true", default=True,
@@ -85,9 +85,10 @@ def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-resume", dest="resume", action="store_false",
                    help="ignore stored cells and re-simulate everything")
     p.add_argument("--timeout", type=float, default=0.0,
-                   help="per-cell wall-clock budget [s] in the pooled path; "
-                        "an overdue (hung) cell is retried, then recorded "
-                        "as a failure (0 = no limit)")
+                   help="per-cell wall-clock budget [s] on worker processes "
+                        "(--jobs > 1): an overdue cell's worker is killed "
+                        "and respawned, the cell retried, then recorded as "
+                        "a Timeout failure (0 = no limit)")
     p.add_argument("--retries", type=int, default=0,
                    help="extra attempts per failing cell before its error "
                         "is recorded and the campaign moves on")
@@ -273,9 +274,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 def _open_store(args: argparse.Namespace) -> ResultStore | None:
     if not args.store:
         return None
-    # The factory respects an existing layout: a fleet-created sharded
-    # store opens sharded here too, so `repro campaign` and `repro fleet`
-    # share one content-addressed cache.
+    # One store format: `repro campaign` and `repro fleet` share one
+    # content-addressed cache, and a flat pre-shard store is migrated.
     from repro.fleet.shards import open_store
 
     return open_store(args.store)
@@ -648,8 +648,8 @@ def _run_fleet_serve(args: argparse.Namespace) -> int:
         tuple(float(x) for x in args.loads.split(",")),
         tuple(int(s) for s in args.seeds.split(",")),
     )
-    # Fleet stores default to sharded; an existing flat store is migrated
-    # into shards in place, an existing sharded store keeps its count.
+    # An existing store keeps its shard count; a flat pre-shard store is
+    # migrated into shards in place.
     store = open_store(args.store, shards=args.shards or DEFAULT_SHARDS)
     ttl = args.lease_ttl or DEFAULT_LEASE_TTL_S
     print(
@@ -688,7 +688,6 @@ def _run_fleet_serve(args: argparse.Namespace) -> int:
             telemetry=telemetry,
             retries=args.retries,
             should_stop=lambda: signals_seen["count"] > 0,
-            fleet=True,
             lease_ttl_s=ttl,
         )
     finally:
@@ -784,18 +783,9 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
 
 
 def _run_fleet_compact(args: argparse.Namespace) -> int:
-    from repro.fleet import ShardedResultStore, open_store
+    from repro.fleet import open_store
 
-    store = open_store(args.store)
-    if not isinstance(store, ShardedResultStore):
-        print(
-            f"error: {args.store} is a flat (unsharded) store; open it "
-            "once with `repro fleet serve` to migrate it into shards, "
-            "then compact",
-            file=sys.stderr,
-        )
-        return 2
-    stats = store.compact()
+    stats = open_store(args.store).compact()
     print(
         f"compacted {stats.shards} shard(s): {stats.lines_before} -> "
         f"{stats.lines_after} line(s), {stats.folded} folded, "

@@ -14,7 +14,7 @@ chart the trade-off:
 
 Every sweep expands into content-addressed :class:`~repro.campaign.spec.RunSpec`
 cells and routes through the campaign runner, so all ablations accept
-``jobs`` (worker pool width) and ``store`` (on-disk memoisation).
+``jobs`` (worker count) and ``store`` (on-disk memoisation).
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from repro.analysis.stats import mean_confidence_interval
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
+from repro.fleet.shards import open_store
 from repro.config import MobilityConfig, ScenarioConfig
 from repro.scenariospec import ComponentSpec, ScenarioSpec
 
@@ -255,7 +256,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    store = ResultStore(args.store) if args.store else None
+    store = open_store(args.store) if args.store else None
     study = run_capture_study(
         cfg,
         load_kbps=args.load,

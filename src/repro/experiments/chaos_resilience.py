@@ -40,6 +40,7 @@ from repro.builder import pick_flow_pairs
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
+from repro.fleet.shards import open_store
 from repro.config import ScenarioConfig
 from repro.scenariospec import ComponentSpec, ScenarioSpec
 from repro.sim.rng import RngRegistry
@@ -249,7 +250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     cfg = ScenarioConfig(node_count=args.nodes, duration_s=args.duration)
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    store = ResultStore(args.store) if args.store else None
+    store = open_store(args.store) if args.store else None
     outcome = run_chaos_resilience(
         cfg,
         load_kbps=args.load,

@@ -42,6 +42,7 @@ from repro.analysis.stats import mean_confidence_interval
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
+from repro.fleet.shards import open_store
 from repro.config import ScenarioConfig
 from repro.metrics.summary import summarise_energy
 from repro.scenariospec import ComponentSpec, ScenarioSpec
@@ -228,7 +229,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     cfg = ScenarioConfig(node_count=args.nodes, duration_s=args.duration)
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    store = ResultStore(args.store) if args.store else None
+    store = open_store(args.store) if args.store else None
     savings = run_energy_savings(
         cfg,
         load_kbps=args.load,

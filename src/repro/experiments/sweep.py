@@ -10,8 +10,8 @@ comparisons.
 Since the campaign subsystem landed, the sweep is a thin façade over
 :mod:`repro.campaign`: the grid expands into content-addressed
 :class:`~repro.campaign.spec.RunSpec` cells, the runner executes them
-(serially or on a worker pool via ``jobs``), and an optional
-:class:`~repro.campaign.store.ResultStore` memoises finished cells so
+(in-process or on ``jobs`` worker processes), and an optional result
+store (:func:`repro.fleet.shards.open_store`) memoises finished cells so
 repeated or interrupted sweeps skip already-computed work.
 """
 
@@ -93,8 +93,8 @@ def run_load_sweep(
 ) -> SweepResult:
     """Run every (protocol, load, seed) combination of the paper's sweep.
 
-    ``jobs`` > 1 distributes cells over a process pool; each cell carries
-    its own seed, so the results are identical to the serial path.  With a
+    ``jobs`` > 1 distributes cells over worker processes; each cell
+    carries its own seed, so the results are identical to ``jobs=1``.  With a
     ``store``, finished cells are memoised on disk and later invocations
     (or a re-run after an interruption) skip them unless ``resume=False``.
     """

@@ -1,22 +1,23 @@
 """Fault-tolerant campaign fleet: lease-based work-stealing over a shared store.
 
-This package turns the campaign layer's ``specs → runner → store``
-contract into a multi-process, multi-user, crash-tolerant service with no
-broker — a directory tree on a plain (or shared) filesystem is the whole
-coordination surface:
+Every campaign executes through this package — ``run_specs`` enqueues its
+pending cells and drains them with fleet workers — which makes the
+campaign layer's ``specs → runner → store`` contract a multi-process,
+multi-user, crash-tolerant service with no broker: a directory tree on a
+plain (or shared) filesystem is the whole coordination surface:
 
 * :mod:`~repro.fleet.queue` — durable work queue; runs are claimed under
   **expiring leases**, so a worker that dies, hangs, or is SIGKILLed
   simply stops renewing and another worker steals the run, with the full
   ownership history (attempts, owners, steal reasons) audited on the task
   and carried into any permanent error record.
-* :mod:`~repro.fleet.shards` — :class:`ShardedResultStore`, a key-prefix
-  sharded result store with per-shard locks, exactly-once ``put``
-  semantics under concurrent writers, and crash-safe compaction; it
-  doubles as the **content-addressed result cache** — identical specs are
+* :mod:`~repro.fleet.shards` — :class:`ShardedResultStore`, the result
+  store's one layout (opened with :func:`open_store`): key-prefix shards
+  with per-shard locks, exactly-once ``put`` semantics under concurrent
+  writers, and crash-safe compaction; it doubles as the **content-addressed result cache** — identical specs are
   never executed twice, across campaigns or users.
 * :mod:`~repro.fleet.worker` — the executor loop behind ``repro fleet
-  work`` and the workers ``run_specs(fleet=True)`` spawns.
+  work`` and every worker ``run_specs`` runs, in-process or supervised.
 * :mod:`~repro.fleet.supervisor` — intake and structured liveness
   (``repro fleet status``): per-task lease state, worker heartbeat ages,
   stall detection.
@@ -45,7 +46,6 @@ from repro.fleet.supervisor import (
     FleetStatus,
     enqueue_specs,
     fleet_status,
-    wait_for_drain,
 )
 from repro.fleet.worker import FleetWorker, WorkerReport
 
@@ -69,6 +69,5 @@ __all__ = [
     "enqueue_specs",
     "fleet_status",
     "open_store",
-    "wait_for_drain",
     "worker_identity",
 ]

@@ -121,11 +121,12 @@ class WorkQueue:
 
     # --------------------------------------------------------------- enqueue
 
-    def enqueue(self, spec: "RunSpec") -> bool:
+    def enqueue(self, spec: "RunSpec", *, rerun: bool = False) -> bool:
         """Add one run to the queue; False when it is already queued.
 
         Callers are expected to consult the result store first — a key
-        with a stored result is a cache hit and should not be enqueued.
+        with a stored result is a cache hit and should not be enqueued,
+        unless ``rerun`` asks workers to simulate it regardless.
         Re-enqueueing a key that is already queued (another user's
         overlapping campaign) is a no-op: both campaigns drain the same
         task, executed once.
@@ -146,6 +147,7 @@ class WorkQueue:
                     "owners": [],
                     "steals": [],
                     "last_error": None,
+                    "rerun": rerun,
                 },
             )
         return True
@@ -277,19 +279,28 @@ class WorkQueue:
             self._task_path(lease.key).unlink(missing_ok=True)
 
     def release(
-        self, lease: Lease, *, reason: str, error: dict | None = None
+        self,
+        lease: Lease,
+        *,
+        reason: str,
+        error: dict | None = None,
+        refund: bool = False,
     ) -> None:
         """Give a failed run back to the queue for another attempt.
 
         The lease is dropped (the task is immediately claimable again) and
         the failure is noted on the task as ``last_error`` for status
-        displays.  Raises :class:`LeaseLost` when already stolen.
+        displays; ``refund`` also gives back the attempt the claim charged
+        (the run was interrupted, not failed).  Raises :class:`LeaseLost`
+        when already stolen.
         """
         with self._lock(lease.key):
             self._verify(lease)
             task = read_json(self._task_path(lease.key))
             if task is not None:
                 task["last_error"] = {"reason": reason, **(error or {})}
+                if refund:
+                    task["attempts"] -= 1
                 atomic_write_json(self._task_path(lease.key), task)
             self._lease_path(lease.key).unlink(missing_ok=True)
 
@@ -314,6 +325,15 @@ class WorkQueue:
         doc = read_json(self._lease_path(key))
         return Lease.from_dict(doc) if doc is not None else None
 
+    def leases(self) -> list[Lease]:
+        """Every current lease, live or lapsed."""
+        docs = (
+            read_json(p)
+            for p in sorted((self.root / LEASE_DIR).glob("*.json"))
+            if not p.name.startswith(".")
+        )
+        return [Lease.from_dict(doc) for doc in docs if doc is not None]
+
     def task(self, key: str) -> dict | None:
         """The task document for ``key``, or None once terminal."""
         return read_json(self._task_path(key))
@@ -327,13 +347,17 @@ class WorkQueue:
                 out.append(doc)
         return out
 
-    def pending_count(self) -> int:
-        """Number of non-terminal tasks (running ones included)."""
-        return sum(
-            1
+    def live_keys(self) -> set[str]:
+        """Keys of every non-terminal task (one directory listing)."""
+        return {
+            p.stem
             for p in (self.root / QUEUE_DIR).glob("*.json")
             if not p.name.startswith(".")
-        )
+        }
+
+    def pending_count(self) -> int:
+        """Number of non-terminal tasks (running ones included)."""
+        return len(self.live_keys())
 
     def drained(self) -> bool:
         """True once no task remains (everything terminal)."""

@@ -1,10 +1,8 @@
-"""Sharded, multi-writer result store with crash-safe compaction.
+"""The result store's layout: sharded, multi-writer, crash-safe compaction.
 
-The flat :class:`~repro.campaign.store.ResultStore` keeps every cell in
-one ``results.jsonl`` — fine for one campaign process, but a fleet of
-workers appending concurrently would serialize on (and eventually tear)
-a single file.  :class:`ShardedResultStore` splits the key space by
-content-hash prefix::
+Fleet workers append concurrently; one shared file would serialize them
+(and eventually tear).  :class:`ShardedResultStore` — the only store
+layout — splits the key space by content-hash prefix::
 
     <root>/
         meta.json                    # format 2: records the shard count
@@ -29,9 +27,9 @@ Properties the fleet relies on:
   a crash mid-compaction leaves the old shard intact.  Other processes
   notice the inode change and reload idempotently.
 * **Legacy adoption.**  Opening a directory holding a flat
-  ``results.jsonl`` migrates its lines into shards once (the original is
-  kept as ``results.jsonl.migrated``), so existing stores upgrade in
-  place.
+  ``results.jsonl`` (the pre-shard format) migrates its lines into shards
+  once (the original is kept as ``results.jsonl.migrated``), so existing
+  stores upgrade in place.
 """
 
 from __future__ import annotations
@@ -39,9 +37,10 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from repro.campaign.spec import SPEC_SCHEMA_VERSION
 from repro.campaign.store import (
     CORRUPT_SUFFIX,
     META_FILE,
@@ -50,7 +49,7 @@ from repro.campaign.store import (
 )
 from repro.fleet.locks import FileLock
 
-#: On-disk format id for the sharded layout (flat stores are format 1).
+#: On-disk format id of the sharded layout (the flat pre-shard one was 1).
 SHARDED_STORE_FORMAT = 2
 
 SHARD_DIR = "shards"
@@ -95,9 +94,8 @@ class CompactionStats:
 class ShardedResultStore(ResultStore):
     """Key-prefix-sharded JSONL result store for concurrent writers.
 
-    API-compatible with :class:`~repro.campaign.store.ResultStore` (the
-    campaign runner accepts either), with writer-side locking and
-    idempotent ``put`` semantics layered on top.
+    The :class:`~repro.campaign.store.ResultStore` core with a shard
+    layout, writer-side locking and idempotent ``put`` layered on top.
     """
 
     def __init__(
@@ -130,10 +128,11 @@ class ShardedResultStore(ResultStore):
         return self._shards
 
     def _meta(self) -> dict:
-        meta = super()._meta()
-        meta["store_format"] = SHARDED_STORE_FORMAT
-        meta["shards"] = self._shards
-        return meta
+        return {
+            "store_format": SHARDED_STORE_FORMAT,
+            "spec_schema": SPEC_SCHEMA_VERSION,
+            "shards": self._shards,
+        }
 
     def _shard_path(self, index: int) -> Path:
         return self.root / SHARD_DIR / f"results-{index:02x}.jsonl"
@@ -189,18 +188,11 @@ class ShardedResultStore(ResultStore):
                         continue
                     buckets.setdefault(self._file_for(key), []).append(line)
             for path, lines in buckets.items():
-                with path.open("a", encoding="utf-8") as fh:
-                    for line in lines:
-                        fh.write(line + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                self._write_lines(path, lines)
             if bad:
-                sidecar = legacy.with_name(legacy.name + CORRUPT_SUFFIX)
-                with sidecar.open("a", encoding="utf-8") as fh:
-                    for line in bad:
-                        fh.write(line + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                self._write_lines(
+                    legacy.with_name(legacy.name + CORRUPT_SUFFIX), bad
+                )
             self._dirsync(self.root / SHARD_DIR)
             legacy.replace(legacy.with_name(legacy.name + ".migrated"))
             self._dirsync(self.root)
@@ -282,21 +274,9 @@ class ShardedResultStore(ResultStore):
                 else:
                     successes[key] = line
         kept = [successes.get(key) or errors[key] for key in order]
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for line in kept:
-                fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(path)
-        self._dirsync(path.parent)
+        self._rewrite(path, kept)
         if bad:
-            sidecar = path.with_name(path.name + CORRUPT_SUFFIX)
-            with sidecar.open("a", encoding="utf-8") as fh:
-                for line in bad:
-                    fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            self._write_lines(path.with_name(path.name + CORRUPT_SUFFIX), bad)
         # Re-ingest the folded shard (idempotent): this both picks up any
         # lines other writers appended since our last refresh and leaves
         # the offset at the new file's end.
@@ -310,19 +290,11 @@ class ShardedResultStore(ResultStore):
 
 def open_store(
     root: str | os.PathLike, *, shards: int | None = None
-) -> ResultStore:
-    """Open ``root`` as whatever store layout it already is.
+) -> ShardedResultStore:
+    """Open (or create) the store at ``root`` — every store opener's entry.
 
-    An existing sharded store (meta.json records ``shards``) opens as
-    :class:`ShardedResultStore` regardless of ``shards``; a fresh or flat
-    directory opens sharded when ``shards`` is given (migrating any flat
-    file in place) and flat otherwise — so campaign tooling can read
-    fleet stores and vice versa without flags.
+    An existing store keeps its recorded shard count; a new one gets
+    ``shards`` (default :data:`DEFAULT_SHARDS`); a flat pre-shard
+    ``results.jsonl`` is migrated into shards on the way in.
     """
-    root = Path(root)
-    existing = ShardedResultStore._existing_shard_count(root)
-    if existing is not None:
-        return ShardedResultStore(root)
-    if shards is not None:
-        return ShardedResultStore(root, shards=shards)
-    return ResultStore(root)
+    return ShardedResultStore(root, shards=shards or DEFAULT_SHARDS)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
@@ -37,11 +37,6 @@ class EnqueueReport:
     already_queued: int
     #: Runs already in the store — content-addressed cache hits.
     cached: int
-
-    @property
-    def total(self) -> int:
-        """Distinct specs examined."""
-        return self.queued + self.already_queued + self.cached
 
 
 def enqueue_specs(
@@ -101,7 +96,9 @@ class WorkerStatus:
     #: Key the worker reported working on, if any.
     key: str | None
     #: True when the heartbeat is older than the stall threshold while
-    #: the worker claims to be doing something.
+    #: the worker claims to be running and holds no live lease on its run
+    #: (a healthy worker renews its lease before it lapses, but refreshes
+    #: its heartbeat only as often as it renews).
     stalled: bool
 
 
@@ -208,13 +205,19 @@ def fleet_status(
     for worker_id, beat in queue.heartbeats().items():
         age = max(0.0, now - float(beat.get("time", 0.0)))
         state = str(beat.get("state", "unknown"))
+        stalled = state not in ("exited", "idle") and age > stall_after_s
+        if stalled and beat.get("key"):
+            lease = queue.lease_of(beat["key"])
+            stalled = (
+                lease is None or lease.owner != worker_id or lease.expired(now)
+            )
         workers.append(
             WorkerStatus(
                 worker=worker_id,
                 state=state,
                 age_s=age,
                 key=beat.get("key"),
-                stalled=(state not in ("exited", "idle") and age > stall_after_s),
+                stalled=stalled,
             )
         )
     return FleetStatus(
@@ -225,28 +228,3 @@ def fleet_status(
         stop_requested=queue.stop_requested(),
         snapshot_at=now,
     )
-
-
-def wait_for_drain(
-    specs: Sequence[RunSpec],
-    store: ResultStore,
-    queue: WorkQueue,
-    *,
-    poll_s: float = 0.1,
-    timeout_s: float | None = None,
-) -> bool:
-    """Block until every spec's key is terminal (result or error stored).
-
-    A convenience for tools and tests; the campaign runner's fleet path
-    has its own drain loop with progress/telemetry wiring.  Returns False
-    on timeout.
-    """
-    keys = {spec.key() for spec in specs}
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    while True:
-        store.refresh()
-        if all(key in store or store.error(key) is not None for key in keys):
-            return True
-        if deadline is not None and time.monotonic() > deadline:
-            return False
-        time.sleep(poll_s)

@@ -1,24 +1,27 @@
 """Fleet worker: claim → (cache-check) → run → record, forever.
 
-A :class:`FleetWorker` is the execution half of the fleet: it pulls runs
-from the :class:`~repro.fleet.queue.WorkQueue` under expiring leases,
-executes them with :func:`~repro.obs.telemetry.run_with_heartbeat` (the
-between-slice callback doubles as the lease-renewal and heartbeat-file
-cadence), and lands outcomes in the shared result store.  Any number of
-workers — spawned by ``run_specs(fleet=True)``, started by hand with
-``repro fleet work``, on this machine or another sharing the filesystem —
-cooperate through those two structures alone.
+A :class:`FleetWorker` is the execution half of every campaign: it pulls
+runs from the :class:`~repro.fleet.queue.WorkQueue` under expiring leases,
+executes them with :meth:`RunSpec.run(progress)
+<repro.campaign.spec.RunSpec.run>` (the between-slice callback renews the
+lease and refreshes the heartbeat file once less than half the TTL is
+left), and lands outcomes in the shared result store.  Any number of
+workers — the one ``run_specs`` runs in-process or the processes it
+supervises, ``repro fleet work`` started by hand, on this machine or
+another sharing the filesystem — cooperate through those two structures
+alone.
 
 Robustness contract:
 
 * **Cache first.**  A claimed key that already has a stored result (some
   other campaign finished it) is completed without execution — the
-  content-addressed cache-hit path costs one index lookup.
+  content-addressed cache-hit path costs one index lookup.  A task
+  enqueued with ``rerun`` (``run_specs(resume=False)``) skips this.
 * **Crash-isolated.**  An exception inside a run is converted to a
-  structured error; with attempts left the run is released for another
-  worker (or a later self) to retry, otherwise the error — including the
-  lease audit trail (attempts, owners, steals) — is recorded and the run
-  retired.
+  structured error; with attempts left (and no stop requested) the run is
+  released for another worker (or a later self) to retry, otherwise the
+  error — including the lease audit trail (attempts, owners, steals) — is
+  recorded and the run retired.
 * **Steal-aware.**  Every lease renewal verifies ownership; a worker
   whose lease lapsed (it stalled long enough to be presumed dead) and
   was stolen abandons the run mid-flight instead of double-reporting.
@@ -32,6 +35,7 @@ Robustness contract:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -46,7 +50,7 @@ from repro.fleet.queue import (
     Claimed,
     WorkQueue,
 )
-from repro.obs.telemetry import DEFAULT_SLICES, TelemetryFn, run_with_heartbeat
+from repro.obs.telemetry import DEFAULT_SLICES, TelemetryFn, runtime_stats
 
 StopFn = Callable[[], bool]
 
@@ -100,15 +104,16 @@ class FleetWorker:
     queue: WorkQueue
     #: Stable identity written into leases, task audit trails, heartbeats.
     worker_id: str = field(default_factory=worker_identity)
-    #: Lease validity window; renewed every telemetry slice, so it must
-    #: comfortably exceed one slice's wall time (see docs/campaigns.md).
+    #: Lease validity window; renewed at the first slice boundary past
+    #: half of it, so half of it must comfortably exceed one slice's wall
+    #: time (see docs/campaigns.md).
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S
     #: Total claim budget per run before it is retired as an error.
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    #: Sim-time slices per run (renewal/heartbeat cadence).
+    #: Sim-time slices per run (the points where renewal is checked).
     slices: int = DEFAULT_SLICES
-    #: Optional live-progress callback (fleet-spawned workers stream to
-    #: the supervising process through this).
+    #: Optional live-progress callback (supervised worker processes
+    #: stream to ``run_specs`` through this).
     telemetry: Optional[TelemetryFn] = None
 
     def run(
@@ -130,13 +135,17 @@ class FleetWorker:
         """
         report = WorkerReport()
         t0 = time.perf_counter()
+
+        def stopping() -> bool:
+            return self.queue.stop_requested() or (
+                should_stop is not None and should_stop()
+            )
+
         try:
             while True:
                 if max_runs is not None and report.claims >= max_runs:
                     break
-                if self.queue.stop_requested() or (
-                    should_stop is not None and should_stop()
-                ):
+                if stopping():
                     break
                 claimed = self.queue.claim(
                     self.worker_id,
@@ -149,7 +158,7 @@ class FleetWorker:
                     self._beat("idle")
                     time.sleep(poll_s)
                     continue
-                self._process(claimed, report)
+                self._process(claimed, report, stopping)
         finally:
             report.wall_s = time.perf_counter() - t0
             self._beat("exited", extra={"report": report.line()})
@@ -157,7 +166,9 @@ class FleetWorker:
 
     # ----------------------------------------------------------- internals
 
-    def _process(self, claimed: Claimed, report: WorkerReport) -> None:
+    def _process(
+        self, claimed: Claimed, report: WorkerReport, stopping: StopFn
+    ) -> None:
         """Drive one claim to a terminal or released state."""
         spec, key = claimed.spec, claimed.key
         if claimed.exhausted:
@@ -166,39 +177,51 @@ class FleetWorker:
         # Content-addressed cache: another campaign/user may have finished
         # this key since it was enqueued — completing without execution is
         # the ~0-cost hit path.
-        self.store.refresh_key(key)
-        if self.store.get(key) is not None:
-            self._finish(claimed, report, cached=True)
-            return
+        if not claimed.task.get("rerun"):
+            self.store.refresh_key(key)
+            if self.store.get(key) is not None:
+                self._finish(claimed, report, cached=True)
+                return
         lease = claimed.lease
+        half_ttl = self.lease_ttl_s / 2
         self._beat("running", key=key, label=spec.label())
 
         def emit(progress) -> None:
+            # Renewal costs two fsync'd writes; once per half TTL keeps it
+            # out of the cell's wall time while a live lease never lapses.
             nonlocal lease
-            lease = self.queue.renew(lease, ttl_s=self.lease_ttl_s)
-            self._beat(
-                "running",
-                key=key,
-                label=spec.label(),
-                extra={
-                    "sim_time_s": progress.sim_time_s,
-                    "events": progress.events,
-                },
-            )
+            if self.queue.clock() >= lease.expires_at - half_ttl:
+                lease = self.queue.renew(lease, ttl_s=self.lease_ttl_s)
+                self._beat(
+                    "running",
+                    key=key,
+                    label=spec.label(),
+                    extra={
+                        "sim_time_s": progress.sim_time_s,
+                        "events": progress.events,
+                    },
+                )
             if self.telemetry is not None:
                 self.telemetry(progress)
 
         try:
-            result, runtime = run_with_heartbeat(spec, emit, slices=self.slices)
+            result = spec.run(emit, slices=self.slices)
         except LeaseLost:
             # Someone presumed us dead and stole the run; their outcome
             # (or the store's exactly-once put) wins — walk away.
             report.abandoned += 1
             return
         except Exception as exc:  # noqa: BLE001 - containment is the job
-            self._handle_failure(claimed, exc, report)
+            self._handle_failure(claimed, exc, report, final=stopping())
             return
-        self.store.put(spec, result, runtime=runtime)
+        except BaseException:
+            # Interrupted (a force-quit Ctrl-C): hand the run back with its
+            # attempt refunded, so a resume neither waits out the lease nor
+            # counts the interruption as a failure.
+            with contextlib.suppress(LeaseLost):
+                self.queue.release(lease, reason="interrupted", refund=True)
+            raise
+        self.store.put(spec, result, runtime=runtime_stats(result))
         self._finish(claimed, report, cached=False, lease_now=lease)
 
     def _finish(
@@ -217,13 +240,23 @@ class FleetWorker:
             report.executed += 1
 
     def _handle_failure(
-        self, claimed: Claimed, exc: Exception, report: WorkerReport
+        self,
+        claimed: Claimed,
+        exc: Exception,
+        report: WorkerReport,
+        *,
+        final: bool,
     ) -> None:
+        """Release the failed run for a retry, or record its error.
+
+        ``final`` (a stop was requested) records the error at once: a
+        fresh attempt would restart work the user just asked to stop.
+        """
         attempts = claimed.lease.attempt
         error = error_record(exc, attempts, label=claimed.spec.label())
         error.update(claimed.error_metadata())
         error["attempts"] = attempts
-        if attempts >= self.max_attempts:
+        if final or attempts >= self.max_attempts:
             self.store.put_error(claimed.spec, error)
             try:
                 self.queue.discard(claimed)

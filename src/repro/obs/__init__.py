@@ -29,7 +29,7 @@ wall clocks, or cross-process concerns.
 from repro.obs.probes import DEFAULT_GAUGES, GaugeSampler, TimeSeries
 from repro.obs.profile import ProfileEntry, ProfileReport
 from repro.obs.sinks import JsonlSink, TraceSink
-from repro.obs.telemetry import RunProgress, run_with_heartbeat
+from repro.obs.telemetry import RunProgress, run_sliced
 
 __all__ = [
     "DEFAULT_GAUGES",
@@ -40,5 +40,5 @@ __all__ = [
     "RunProgress",
     "TimeSeries",
     "TraceSink",
-    "run_with_heartbeat",
+    "run_sliced",
 ]

@@ -9,9 +9,10 @@ nothing.  So a worker can execute a cell in sim-time slices and emit a
 RSS — without perturbing determinism (regression-tested in
 ``tests/obs/test_telemetry.py``).
 
-The campaign runner wires this into its worker pool: workers push
-progress over a queue, the parent renders a live line.  Everything here is
-also usable serially (``jobs=1``) with a plain callback.
+:meth:`RunSpec.run(progress) <repro.campaign.spec.RunSpec.run>` is the
+one way a cell runs sliced: fleet workers pass a callback that renews
+their lease and forwards progress to the campaign's telemetry (over a
+queue from worker processes), and the parent renders a live line.
 """
 
 from __future__ import annotations
@@ -99,18 +100,17 @@ TelemetryFn = Callable[[RunProgress], Any]
 DEFAULT_SLICES = 20
 
 
-def run_with_heartbeat(
+def run_sliced(
     spec: "RunSpec",
     emit: TelemetryFn,
     *,
     slices: int = DEFAULT_SLICES,
-) -> tuple["ExperimentResult", dict]:
+) -> "ExperimentResult":
     """Execute one cell in sim-time slices, emitting progress between them.
 
-    Returns ``(result, runtime)`` where ``result`` is bit-identical to
+    The body of ``RunSpec.run(progress)``: the result is bit-identical to
     ``spec.run()`` (wallclock aside — the recorded wallclock covers the
-    whole sliced execution) and ``runtime`` is the plain-dict per-run
-    runtime stats the result store persists alongside the cell.
+    whole sliced execution, callbacks included).
     """
     if slices < 1:
         raise ValueError(f"slices must be >= 1, got {slices!r}")
@@ -120,36 +120,28 @@ def run_with_heartbeat(
     duration = net.cfg.duration_s
     sim = net.sim
     t0 = time.perf_counter()
+
+    def beat(done: bool = False) -> RunProgress:
+        return RunProgress(
+            key=key,
+            label=label,
+            sim_time_s=sim.now,
+            duration_s=duration,
+            events=sim.events_executed,
+            wall_s=time.perf_counter() - t0,
+            peak_rss_kb=peak_rss_kb(),
+            done=done,
+        )
+
     for i in range(1, slices + 1):
         sim.run_until(min(duration, duration * i / slices))
-        emit(
-            RunProgress(
-                key=key,
-                label=label,
-                sim_time_s=sim.now,
-                duration_s=duration,
-                events=sim.events_executed,
-                wall_s=time.perf_counter() - t0,
-                peak_rss_kb=peak_rss_kb(),
-            )
-        )
+        emit(beat())
     # The horizon is already reached: run() dispatches nothing further and
     # just assembles the summary; restore the true whole-run wallclock.
     result = net.run()
-    wall = time.perf_counter() - t0
-    result = replace(result, wallclock_s=wall)
-    final = RunProgress(
-        key=key,
-        label=label,
-        sim_time_s=sim.now,
-        duration_s=duration,
-        events=sim.events_executed,
-        wall_s=wall,
-        peak_rss_kb=peak_rss_kb(),
-        done=True,
-    )
+    final = beat(done=True)
     emit(final)
-    return result, runtime_stats(result)
+    return replace(result, wallclock_s=final.wall_s)
 
 
 def runtime_stats(result: "ExperimentResult") -> dict:

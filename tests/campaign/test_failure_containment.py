@@ -1,11 +1,12 @@
 """Failure containment: the campaign runner must outlive its workers.
 
 A chaos campaign is exactly the kind of run that dies nine hours in, so
-these tests pin the containment contract from ISSUE 7: worker exceptions
-are retried with backoff and then recorded as structured errors (never a
-dead campaign), hung workers are reaped by the per-cell timeout, stops are
-cooperative, and errored cells re-run on resume because the store keeps
-them out of the result index.
+these tests pin the containment contract: worker exceptions are retried
+within the queue's attempt budget and then recorded as structured errors
+(never a dead campaign), hung worker processes are reaped by the per-cell
+wall budget, stops are cooperative, and errored cells re-run on resume
+because the store keeps them out of the result index.  ``Serial`` is one
+worker in this process; ``Pooled`` is several worker processes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import pytest
 
 from repro.campaign.runner import error_record, run_specs
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import ResultStore
 from repro.config import ScenarioConfig, TrafficConfig
+from repro.fleet.queue import WorkQueue
+from repro.fleet.shards import open_store
 from repro.scenariospec import ComponentSpec, ScenarioSpec
 
 
@@ -46,7 +48,6 @@ class TestSerialContainment:
         report = run_specs(
             [good_cell(1), doomed_cell(), good_cell(2)],
             retries=1,
-            backoff_s=0.01,
         )
         assert len(report.results) == 2
         assert len(report.errors) == 1
@@ -57,7 +58,7 @@ class TestSerialContainment:
         assert "Traceback" in err["traceback"]
 
     def test_zero_retries_records_first_failure(self):
-        report = run_specs([doomed_cell()], retries=0, backoff_s=0.01)
+        report = run_specs([doomed_cell()], retries=0)
         assert next(iter(report.errors.values()))["attempts"] == 1
 
     def test_should_stop_halts_between_cells(self):
@@ -83,7 +84,6 @@ class TestSerialContainment:
         report = run_specs(
             [doomed_cell()],
             retries=50,
-            backoff_s=0.01,
             should_stop=stopping,
         )
         assert next(iter(report.errors.values()))["attempts"] <= 2
@@ -91,11 +91,9 @@ class TestSerialContainment:
 
 class TestPooledContainment:
     def test_dying_worker_is_retried_then_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         specs = [good_cell(1), doomed_cell(), good_cell(2)]
-        report = run_specs(
-            specs, jobs=2, store=store, retries=2, backoff_s=0.01
-        )
+        report = run_specs(specs, jobs=2, store=store, retries=2)
         assert len(report.results) == 2
         key = doomed_cell().key()
         assert report.errors[key]["attempts"] == 3
@@ -103,15 +101,14 @@ class TestPooledContainment:
         assert store.get(key) is None
 
     def test_resume_reruns_errored_cells_only(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         specs = [good_cell(1), doomed_cell()]
-        run_specs(specs, jobs=2, store=store, retries=0, backoff_s=0.01)
+        run_specs(specs, jobs=2, store=store, retries=0)
 
         ran: list[str] = []
-        fresh = ResultStore(tmp_path / "store")
+        fresh = open_store(tmp_path / "store")
         report = run_specs(
-            specs, jobs=2, store=fresh, retries=0, backoff_s=0.01,
-            progress=ran.append,
+            specs, jobs=2, store=fresh, retries=0, progress=ran.append
         )
         assert doomed_cell().key() in report.errors
         assert sum("cached" in line for line in ran) == 1
@@ -126,15 +123,15 @@ class TestPooledContainment:
         assert report.results == {}
         assert report.errors == {}
 
-    def test_worker_init_resets_inherited_signal_handlers(self):
+    def test_worker_init_resets_inherited_signal_handlers(self, tmp_path):
         # Forked workers inherit the CLI's SIGINT/SIGTERM handlers.  The
-        # initializer must shield SIGINT (so Ctrl-C drains instead of
+        # worker entry must shield SIGINT (so Ctrl-C drains instead of
         # killing in-flight cells) and restore SIGTERM to the default —
-        # an inherited no-kill handler would neuter Pool.terminate() and
-        # leave the parent blocked forever in pool.join().
+        # an inherited no-kill handler would stop the parent from
+        # terminating an overdue worker.
         import signal
 
-        from repro.campaign.runner import _init_worker
+        from repro.campaign.runner import _fleet_worker_entry
 
         def handler(signum, frame):  # pragma: no cover - never fired
             pass
@@ -142,27 +139,51 @@ class TestPooledContainment:
         old_int = signal.signal(signal.SIGINT, handler)
         old_term = signal.signal(signal.SIGTERM, handler)
         try:
-            _init_worker(None)
+            # No keys to wait for: the claim loop exits at once.
+            _fleet_worker_entry(str(tmp_path / "store"), {}, frozenset())
             assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
             assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
         finally:
             signal.signal(signal.SIGINT, old_int)
             signal.signal(signal.SIGTERM, old_term)
 
-    @pytest.mark.slow
-    def test_hung_worker_times_out_and_bystander_survives(self):
-        # A cell that would simulate for hours stands in for a hang; the
-        # per-cell budget must reap it without losing the honest cell.
+    def test_overdue_cell_is_retried_then_recorded(self, tmp_path):
+        # Each overdue attempt kills its worker and charges one attempt;
+        # the respawned workers finish the honest cells.
         hung = good_cell(5, duration_s=100000.0)
+        store = open_store(tmp_path / "store")
+        report = run_specs(
+            [hung, good_cell(6), good_cell(7)],
+            jobs=2,
+            store=store,
+            timeout_s=1.0,
+            retries=1,
+        )
+        error = report.errors[hung.key()]
+        assert error["kind"] == "Timeout"
+        assert error["attempts"] == 2
+        assert len(error["owners"]) == 2  # a fresh worker took the retry
+        assert len(report.results) == 2
+        assert WorkQueue(store.root / "fleet").drained()
+
+    @pytest.mark.slow
+    def test_hung_worker_times_out_and_bystander_survives(self, tmp_path):
+        # A cell that would simulate for hours stands in for a hang; the
+        # per-cell wall budget must reap its worker without losing the
+        # honest cell, and the respawned worker leaves no stale lease.
+        hung = good_cell(5, duration_s=100000.0)
+        store = open_store(tmp_path / "store")
         report = run_specs(
             [hung, good_cell(6)],
             jobs=2,
+            store=store,
             timeout_s=2.0,
             retries=0,
-            backoff_s=0.01,
         )
         assert hung.key() in report.errors
         assert report.errors[hung.key()]["kind"] == "Timeout"
+        assert report.errors[hung.key()]["attempts"] == 1
+        assert store.error(hung.key())["kind"] == "Timeout"
         assert len(report.results) == 1
 
 

@@ -1,17 +1,18 @@
-"""ResultStore tests: round trips, resume across instances, torn writes."""
+"""Result store tests: round trips, resume across instances, torn writes,
+and the one-format guarantee — every opener reads a campaign's store
+without rewriting it."""
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import (
-    ResultStore,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.campaign.store import result_from_dict, result_to_dict
 from repro.config import ScenarioConfig, TrafficConfig
 from repro.experiments.scenario import ExperimentResult, FlowSummary
+from repro.fleet.shards import open_store
 
 
 def make_spec(seed: int = 1) -> RunSpec:
@@ -63,7 +64,7 @@ class TestSerialisation:
 
 class TestResultStore:
     def test_put_then_get(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         spec, result = make_spec(), make_result()
         key = store.put(spec, result)
         assert key == spec.key()
@@ -73,11 +74,11 @@ class TestResultStore:
 
     def test_resume_across_instances(self, tmp_path):
         root = tmp_path / "store"
-        first = ResultStore(root)
+        first = open_store(root)
         spec, result = make_spec(), make_result()
         first.put(spec, result)
 
-        second = ResultStore(root)
+        second = open_store(root)
         assert spec.key() in second
         assert second.get(spec.key()) == result
         assert second.spec_summary(spec.key())["protocol"] == "basic"
@@ -87,53 +88,118 @@ class TestResultStore:
         so a store entry can be re-expanded into the exact cell that ran."""
         from repro.scenariospec import ScenarioSpec
 
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         spec, result = make_spec(), make_result()
         key = store.put(spec, result)
 
-        reloaded = ResultStore(tmp_path / "store")
+        reloaded = open_store(tmp_path / "store")
         scenario_dict = reloaded.spec_summary(key)["scenario"]
         rebuilt = ScenarioSpec.from_dict(scenario_dict)
         assert rebuilt == spec.scenario
         assert rebuilt.key() == key
 
     def test_missing_key_returns_none(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         assert store.get("deadbeef") is None
         assert "deadbeef" not in store
 
     def test_last_write_wins_on_duplicate_key(self, tmp_path):
+        # put() is exactly-once per key, but lines appended by other
+        # writers (older versions, a migration) can repeat a key: the
+        # loader keeps the last.
         root = tmp_path / "store"
-        store = ResultStore(root)
+        store = open_store(root)
         spec = make_spec()
         store.put(spec, make_result())
         newer = make_result()
         newer.throughput_kbps = 99.0
-        store.put(spec, newer)
-        reloaded = ResultStore(root)
+        line = {"key": spec.key(), "spec": {}, "result": result_to_dict(newer)}
+        with store._file_for(spec.key()).open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")
+        reloaded = open_store(root)
         assert len(reloaded) == 1
         assert reloaded.get(spec.key()).throughput_kbps == 99.0
 
     def test_torn_final_line_is_ignored(self, tmp_path):
         root = tmp_path / "store"
-        store = ResultStore(root)
+        store = open_store(root)
         spec, result = make_spec(), make_result()
         store.put(spec, result)
         # Simulate a crash mid-append: a truncated JSON tail.
-        with store.path.open("a", encoding="utf-8") as fh:
+        with store._file_for(spec.key()).open("a", encoding="utf-8") as fh:
             fh.write('{"key": "abc", "result": {"proto')
 
-        reloaded = ResultStore(root)
+        reloaded = open_store(root)
         assert len(reloaded) == 1
         assert reloaded.get(spec.key()) == result
 
     def test_meta_file_written_once(self, tmp_path):
         root = tmp_path / "store"
-        ResultStore(root)
+        open_store(root)
         meta = json.loads((root / "meta.json").read_text())
         assert meta["store_format"] >= 1
         assert meta["spec_schema"] >= 1
         # Reopening must not rewrite it.
         before = (root / "meta.json").stat().st_mtime_ns
-        ResultStore(root)
+        open_store(root)
         assert (root / "meta.json").stat().st_mtime_ns == before
+
+
+class TestOneStoreFormat:
+    """Opening a campaign's store anywhere reads every row, rewrites nothing.
+
+    An opener that read a sharded store as flat would see 0 results and
+    rewrite ``meta.json`` to the flat format, hiding every result from
+    later openers.
+    """
+
+    @pytest.fixture(scope="class")
+    def campaign_store(self, tmp_path_factory):
+        from repro.campaign.runner import run_specs
+
+        root = tmp_path_factory.mktemp("campaign") / "store"
+        specs = [make_spec(seed) for seed in (1, 2, 3)]
+        report = run_specs(specs, jobs=2, store=open_store(root, shards=4))
+        assert report.executed == len(specs)
+        return root, len(specs)
+
+    def test_export_reads_every_row_and_keeps_meta(self, campaign_store):
+        from repro.analysis.export import load_store_results, store_to_csv
+
+        root, cells = campaign_store
+        meta = (root / "meta.json").read_bytes()
+        assert len(load_store_results(root)) == cells
+        assert len(store_to_csv(root).splitlines()) == cells + 1
+        assert (root / "meta.json").read_bytes() == meta
+        assert len(open_store(root)) == cells
+
+    @pytest.mark.parametrize(
+        "module, runner",
+        [
+            ("capture_study", "run_capture_study"),
+            ("chaos_resilience", "run_chaos_resilience"),
+            ("energy_savings", "run_energy_savings"),
+        ],
+    )
+    def test_experiment_store_flag_reads_every_row(
+        self, campaign_store, monkeypatch, module, runner
+    ):
+        import importlib
+
+        root, cells = campaign_store
+        meta = (root / "meta.json").read_bytes()
+        experiment = importlib.import_module(f"repro.experiments.{module}")
+        seen = {}
+
+        class Opened(Exception):
+            pass
+
+        def capture(*args, store=None, **kwargs):
+            seen["store"] = store
+            raise Opened
+
+        monkeypatch.setattr(experiment, runner, capture)
+        with pytest.raises(Opened):
+            experiment.main(["--store", str(root), "--out", "-"])
+        assert len(seen["store"]) == cells
+        assert (root / "meta.json").read_bytes() == meta

@@ -1,4 +1,4 @@
-"""ResultStore corruption quarantine and error-line semantics.
+"""Result store corruption quarantine and error-line semantics.
 
 The store used to silently drop unparseable JSONL lines — a torn write
 from a crashed campaign would vanish without a trace.  Now bad lines move
@@ -15,8 +15,9 @@ import warnings
 import pytest
 
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import CORRUPT_SUFFIX, ResultStore
+from repro.campaign.store import CORRUPT_SUFFIX
 from repro.config import ScenarioConfig
+from repro.fleet.shards import open_store
 from repro.scenariospec import ComponentSpec, ScenarioSpec
 
 
@@ -26,46 +27,51 @@ def cell(seed: int = 1) -> RunSpec:
 
 
 def populated_store(tmp_path, seeds=(1, 2)):
-    store = ResultStore(tmp_path / "store")
+    store = open_store(tmp_path / "store")
     for seed in seeds:
         spec = cell(seed)
         store.put(spec, spec.scenario.run())
     return store
 
 
+def shard_of(store, seed: int = 1):
+    """The shard file holding ``cell(seed)`` — where the tests corrupt."""
+    return store._file_for(cell(seed).key())
+
+
 class TestQuarantine:
     def test_corrupt_lines_move_to_sidecar(self, tmp_path):
         store = populated_store(tmp_path)
-        with store.path.open("a", encoding="utf-8") as fh:
+        with shard_of(store).open("a", encoding="utf-8") as fh:
             fh.write('{"key": "torn-off-mid-wri\n')
             fh.write("not json at all\n")
 
         with pytest.warns(RuntimeWarning, match="quarantined 2 corrupt"):
-            reloaded = ResultStore(tmp_path / "store")
+            reloaded = open_store(tmp_path / "store")
 
         assert len(reloaded) == 2
-        sidecar = store.path.with_name(store.path.name + CORRUPT_SUFFIX)
+        sidecar = shard_of(store).with_name(shard_of(store).name + CORRUPT_SUFFIX)
         assert len(sidecar.read_text().splitlines()) == 2
         # The main file is clean now: a third load warns about nothing.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            again = ResultStore(tmp_path / "store")
+            again = open_store(tmp_path / "store")
         assert len(again) == 2
 
     def test_results_survive_the_rewrite_intact(self, tmp_path):
         store = populated_store(tmp_path)
         originals = {k: store.get(k) for k in store.keys()}
-        with store.path.open("a", encoding="utf-8") as fh:
+        with shard_of(store).open("a", encoding="utf-8") as fh:
             fh.write("garbage\n")
         with pytest.warns(RuntimeWarning):
-            reloaded = ResultStore(tmp_path / "store")
+            reloaded = open_store(tmp_path / "store")
         for key, result in originals.items():
             assert reloaded.get(key) == result
 
 
 class TestErrorLines:
     def test_put_error_stays_out_of_the_index(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         spec = cell()
         key = store.put_error(spec, {"kind": "ValueError", "message": "x"})
         assert key == spec.key()
@@ -75,9 +81,9 @@ class TestErrorLines:
         assert store.errors() == {key: store.error(key)}
 
     def test_error_lines_survive_reload(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         store.put_error(cell(), {"kind": "ValueError", "message": "x"})
-        reloaded = ResultStore(tmp_path / "store")
+        reloaded = open_store(tmp_path / "store")
         assert reloaded.error(cell().key()) is not None
         assert len(reloaded) == 0
 
@@ -86,20 +92,20 @@ class TestErrorLines:
         result = spec.scenario.run()
 
         # error then success (the retry-eventually-worked order)...
-        store = ResultStore(tmp_path / "a")
+        store = open_store(tmp_path / "a")
         store.put_error(spec, {"kind": "ValueError", "message": "x"})
         store.put(spec, result)
         assert store.get(spec.key()) == result
         assert store.error(spec.key()) is None
-        reloaded = ResultStore(tmp_path / "a")
+        reloaded = open_store(tmp_path / "a")
         assert reloaded.get(spec.key()) == result
         assert reloaded.error(spec.key()) is None
 
         # ...and success then error (a later campaign failed the cell):
         # the deterministic result still wins on reload.
-        store_b = ResultStore(tmp_path / "b")
+        store_b = open_store(tmp_path / "b")
         store_b.put(spec, result)
-        with store_b.path.open("a", encoding="utf-8") as fh:
+        with shard_of(store_b).open("a", encoding="utf-8") as fh:
             fh.write(
                 json.dumps(
                     {
@@ -110,7 +116,7 @@ class TestErrorLines:
                 )
                 + "\n"
             )
-        reloaded_b = ResultStore(tmp_path / "b")
+        reloaded_b = open_store(tmp_path / "b")
         assert reloaded_b.get(spec.key()) == result
         assert reloaded_b.error(spec.key()) is None
 
@@ -121,33 +127,33 @@ class TestSidecarDedupe:
 
     def test_repeat_corruption_is_not_duplicated(self, tmp_path):
         store = populated_store(tmp_path)
-        with store.path.open("a", encoding="utf-8") as fh:
+        with shard_of(store).open("a", encoding="utf-8") as fh:
             fh.write("same garbage\n")
         with pytest.warns(RuntimeWarning, match="quarantined 1 corrupt"):
-            ResultStore(tmp_path / "store")
+            open_store(tmp_path / "store")
         # The identical bad line lands again (a crash-looping writer).
-        with store.path.open("a", encoding="utf-8") as fh:
+        with shard_of(store).open("a", encoding="utf-8") as fh:
             fh.write("same garbage\n")
         # It is removed from the main file but NOT re-counted: the
         # sidecar already holds it, so the load warns about nothing.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reloaded = ResultStore(tmp_path / "store")
+            reloaded = open_store(tmp_path / "store")
         assert len(reloaded) == 2
-        sidecar = store.path.with_name(store.path.name + CORRUPT_SUFFIX)
+        sidecar = shard_of(store).with_name(shard_of(store).name + CORRUPT_SUFFIX)
         assert sidecar.read_text().splitlines() == ["same garbage"]
 
     def test_growing_sidecar_reports_the_total(self, tmp_path):
         store = populated_store(tmp_path)
-        with store.path.open("a", encoding="utf-8") as fh:
+        with shard_of(store).open("a", encoding="utf-8") as fh:
             fh.write("first garbage\n")
         with pytest.warns(RuntimeWarning, match="sidecar now holds 1"):
-            ResultStore(tmp_path / "store")
-        with store.path.open("a", encoding="utf-8") as fh:
+            open_store(tmp_path / "store")
+        with shard_of(store).open("a", encoding="utf-8") as fh:
             fh.write("second garbage\n")
         with pytest.warns(RuntimeWarning, match="sidecar now holds 2"):
-            ResultStore(tmp_path / "store")
-        sidecar = store.path.with_name(store.path.name + CORRUPT_SUFFIX)
+            open_store(tmp_path / "store")
+        sidecar = shard_of(store).with_name(shard_of(store).name + CORRUPT_SUFFIX)
         assert sidecar.read_text().splitlines() == [
             "first garbage",
             "second garbage",

@@ -1,13 +1,14 @@
-"""run_specs(fleet=True): the campaign API on top of the fleet machinery.
+"""run_specs on top of the fleet machinery.
 
-The contract: fleet mode keeps the ``run_specs`` surface (report shape,
-resume, error records) while executing through enqueue → supervised
-workers → store, and its results are bit-identical to a serial run of the
-same specs.
+The contract: ``run_specs`` keeps its surface (report shape, resume,
+error records) while executing through enqueue → workers → store, and its
+results are bit-identical to ``RunSpec.run`` of the same specs at every
+``jobs``.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict
 
 import pytest
@@ -47,15 +48,27 @@ def deterministic_fields(result) -> dict:
 
 
 class TestFleetRunSpecs:
-    def test_fleet_requires_a_store(self):
-        with pytest.raises(ValueError, match="store"):
-            run_specs([cell()], fleet=True)
+    def test_storeless_run_uses_a_temporary_store(self, monkeypatch):
+        import repro.fleet.shards as shards
+
+        roots = []
+        opened = shards.open_store
+
+        def spy(root, **kwargs):
+            roots.append(root)
+            return opened(root, **kwargs)
+
+        monkeypatch.setattr(shards, "open_store", spy)
+        report = run_specs([cell(1), cell(2)], jobs=2)
+        assert report.executed == 2
+        (root,) = roots
+        assert not os.path.exists(root)  # removed on return
 
     def test_results_identical_to_serial(self, tmp_path):
         specs = [cell(1), cell(2)]
         serial = run_specs(specs)
         store = ShardedResultStore(tmp_path / "store", shards=4)
-        fleet = run_specs(specs, jobs=2, store=store, fleet=True)
+        fleet = run_specs(specs, jobs=2, store=store)
         assert fleet.executed == 2
         assert not fleet.errors
         for spec in specs:
@@ -67,7 +80,7 @@ class TestFleetRunSpecs:
     def test_store_holds_one_line_per_key(self, tmp_path):
         store = ShardedResultStore(tmp_path / "store", shards=4)
         specs = [cell(1), cell(2)]
-        run_specs(specs, jobs=2, store=store, fleet=True)
+        run_specs(specs, jobs=2, store=store)
         lines = []
         for path in store._result_files():
             if path.exists():
@@ -77,8 +90,8 @@ class TestFleetRunSpecs:
     def test_resume_is_all_cache_hits(self, tmp_path):
         store = ShardedResultStore(tmp_path / "store", shards=4)
         specs = [cell(1), cell(2)]
-        run_specs(specs, jobs=2, store=store, fleet=True)
-        again = run_specs(specs, jobs=2, store=store, fleet=True)
+        run_specs(specs, jobs=2, store=store)
+        again = run_specs(specs, jobs=2, store=store)
         assert again.cached == 2
         assert again.executed == 0
 
@@ -88,7 +101,6 @@ class TestFleetRunSpecs:
             [cell(1), doomed()],
             jobs=2,
             store=store,
-            fleet=True,
             retries=1,
         )
         assert report.executed == 1

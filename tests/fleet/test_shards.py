@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import CORRUPT_SUFFIX, ResultStore
+from repro.campaign.store import CORRUPT_SUFFIX, result_to_dict
 from repro.config import ScenarioConfig, TrafficConfig
 from repro.fleet.shards import (
     DEFAULT_SHARDS,
@@ -33,6 +33,18 @@ def cell(seed: int = 1) -> RunSpec:
 def run_cell(seed: int = 1):
     spec = cell(seed)
     return spec, spec.scenario.run()
+
+
+def write_flat_store(root, cells) -> None:
+    """A pre-shard store: one ``results.jsonl`` and a format-1 meta."""
+    root.mkdir(parents=True)
+    (root / "meta.json").write_text(
+        json.dumps({"store_format": 1, "spec_schema": 8})
+    )
+    with (root / "results.jsonl").open("w", encoding="utf-8") as fh:
+        for spec, result in cells:
+            line = {"key": spec.key(), "spec": {}, "result": result_to_dict(result)}
+            fh.write(json.dumps(line) + "\n")
 
 
 def shard_lines(store: ShardedResultStore) -> list[str]:
@@ -164,21 +176,17 @@ class TestCompaction:
 
 class TestLegacyMigration:
     def test_flat_store_migrates_into_shards(self, tmp_path):
-        flat = ResultStore(tmp_path / "store")
-        expected = {}
-        for seed in (1, 2, 3):
-            spec, result = run_cell(seed)
-            flat.put(spec, result)
-            expected[spec.key()] = result
+        cells = [run_cell(seed) for seed in (1, 2, 3)]
+        write_flat_store(tmp_path / "store", cells)
+        expected = {spec.key(): result for spec, result in cells}
         sharded = ShardedResultStore(tmp_path / "store", shards=4)
         assert {k: sharded.get(k) for k in expected} == expected
         assert not (tmp_path / "store" / "results.jsonl").exists()
         assert (tmp_path / "store" / "results.jsonl.migrated").exists()
 
     def test_migration_happens_once(self, tmp_path):
-        flat = ResultStore(tmp_path / "store")
         spec, result = run_cell()
-        flat.put(spec, result)
+        write_flat_store(tmp_path / "store", [(spec, result)])
         ShardedResultStore(tmp_path / "store", shards=4)
         again = ShardedResultStore(tmp_path / "store")
         assert again.get(spec.key()) == result
@@ -186,9 +194,19 @@ class TestLegacyMigration:
 
 
 class TestOpenStoreFactory:
-    def test_fresh_directory_opens_flat(self, tmp_path):
+    def test_fresh_directory_opens_sharded(self, tmp_path):
         store = open_store(tmp_path / "store")
-        assert type(store) is ResultStore
+        assert type(store) is ShardedResultStore
+        assert store.shards == DEFAULT_SHARDS
+
+    def test_flat_store_opens_migrated(self, tmp_path):
+        spec, result = run_cell()
+        write_flat_store(tmp_path / "store", [(spec, result)])
+        store = open_store(tmp_path / "store")
+        assert type(store) is ShardedResultStore
+        assert store.get(spec.key()) == result
+        meta = json.loads((store.root / "meta.json").read_text())
+        assert meta["store_format"] == 2
 
     def test_shards_argument_creates_sharded(self, tmp_path):
         store = open_store(tmp_path / "store", shards=4)

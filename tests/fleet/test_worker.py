@@ -163,18 +163,106 @@ class TestExhaustedPath:
 
 
 class TestStealAbandonment:
-    def test_stolen_lease_abandons_the_run(self, store, queue, monkeypatch):
+    def test_stolen_lease_abandons_the_run(self, tmp_path, monkeypatch):
+        clock = FakeClock()
+        store = ShardedResultStore(tmp_path / "store", shards=4)
+        queue = WorkQueue(store.root / "fleet", clock=clock)
         spec = cell(1)
         queue.enqueue(spec)
 
         def stolen(lease, *, ttl_s):
             raise LeaseLost("stolen mid-run")
 
+        def stall(progress) -> None:
+            clock.now += TTL  # the next slice finds the lease lapsed
+
         monkeypatch.setattr(queue, "renew", stolen)
-        report = FleetWorker(store, queue, lease_ttl_s=TTL).run(max_runs=1)
+        report = FleetWorker(
+            store, queue, lease_ttl_s=TTL, telemetry=stall
+        ).run(max_runs=1)
         assert report.abandoned == 1
         assert report.executed == 0
         # The thief (or the exactly-once store) owns the outcome; this
         # worker must not have recorded anything.
         assert store.get(spec.key()) is None
         assert store.error(spec.key()) is None
+
+
+class TestInterruption:
+    def test_interrupted_run_is_handed_back_unpenalised(
+        self, store, queue, monkeypatch
+    ):
+        spec = cell(1)
+        queue.enqueue(spec)
+
+        def interrupted(self, progress=None, *, slices=20):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(RunSpec, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            FleetWorker(store, queue, lease_ttl_s=TTL).run()
+        task = queue.task(spec.key())
+        assert task["attempts"] == 0
+        assert task["last_error"]["reason"] == "interrupted"
+        assert queue.lease_of(spec.key()) is None  # claimable at once
+
+
+class TestRenewalCadence:
+    """Renewal (two fsync'd writes) happens only once half the TTL is gone."""
+
+    def run_counting(self, tmp_path, monkeypatch, tick_s: float):
+        clock = FakeClock()
+        store = ShardedResultStore(tmp_path / "store", shards=4)
+        queue = WorkQueue(store.root / "fleet", clock=clock)
+        queue.enqueue(cell(1))
+        renewals = []
+        renew = queue.renew
+
+        def counting(lease, *, ttl_s):
+            renewals.append((clock.now, lease.expires_at))
+            return renew(lease, ttl_s=ttl_s)
+
+        def tick(progress) -> None:
+            clock.now += tick_s
+
+        monkeypatch.setattr(queue, "renew", counting)
+        report = FleetWorker(
+            store, queue, lease_ttl_s=TTL, slices=20, telemetry=tick
+        ).run()
+        assert report.executed == 1
+        return renewals
+
+    def test_run_shorter_than_half_ttl_never_renews(self, tmp_path, monkeypatch):
+        # 21 beats x 0.5 s = 10.5 s of wall time < TTL / 2 = 15 s.
+        assert self.run_counting(tmp_path, monkeypatch, tick_s=0.5) == []
+
+    def test_long_run_renews_before_expiry(self, tmp_path, monkeypatch):
+        # 21 beats x TTL / 8: the run lasts 2.6 TTLs.
+        renewals = self.run_counting(tmp_path, monkeypatch, tick_s=TTL / 8)
+        assert len(renewals) >= 3
+        assert all(now < expires_at for now, expires_at in renewals)
+
+
+class TestStatusStallFlag:
+    def test_healthy_worker_is_never_flagged(self, tmp_path):
+        from repro.fleet.supervisor import fleet_status
+
+        clock = FakeClock()
+        store = ShardedResultStore(tmp_path / "store", shards=4)
+        queue = WorkQueue(store.root / "fleet", clock=clock)
+        spec = cell(1)
+        queue.enqueue(spec)
+        queue.claim("w1", ttl_s=TTL)
+        queue.heartbeat("w1", {"state": "running", "key": spec.key()})
+
+        def stalled() -> bool:
+            status = fleet_status(store, queue, stall_after_s=TTL / 4)
+            return status.workers[0].stalled
+
+        # Heartbeats refresh only at renewal: an old beat under a live
+        # lease is a healthy worker mid-run.
+        clock.now += TTL * 0.9
+        assert not stalled()
+        # Past expiry without renewal, the worker is stalled.
+        clock.now += TTL * 0.2
+        assert stalled()

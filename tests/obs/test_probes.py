@@ -117,12 +117,12 @@ class TestTimeSeriesRoundTrip:
 
     def test_full_store_round_trip_through_disk(self, tmp_path):
         from repro.campaign.spec import RunSpec
-        from repro.campaign.store import ResultStore
+        from repro.fleet.shards import open_store
 
         spec = RunSpec(scenario=probed_spec())
         result = spec.run()
-        ResultStore(tmp_path).put(spec, result)
-        reloaded = ResultStore(tmp_path)  # fresh load from disk
+        open_store(tmp_path).put(spec, result)
+        reloaded = open_store(tmp_path)  # fresh load from disk
         stored = reloaded.get(spec.key())
         assert stored == result
         assert stored.timeseries.times == result.timeseries.times

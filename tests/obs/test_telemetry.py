@@ -8,14 +8,9 @@ import pytest
 
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import ResultStore
 from repro.config import ScenarioConfig
-from repro.obs.telemetry import (
-    RunProgress,
-    peak_rss_kb,
-    run_with_heartbeat,
-    runtime_stats,
-)
+from repro.fleet.shards import open_store
+from repro.obs.telemetry import RunProgress, peak_rss_kb, runtime_stats
 from repro.scenariospec import ScenarioSpec
 
 
@@ -37,15 +32,15 @@ class TestRunWithHeartbeat:
         spec = small_spec()
         plain = spec.run()
         beats: list[RunProgress] = []
-        sliced, runtime = run_with_heartbeat(spec, beats.append, slices=7)
+        sliced = spec.run(beats.append, slices=7)
         assert strip_wallclock(sliced) == strip_wallclock(plain)
         assert sliced.events_executed == plain.events_executed
-        assert runtime["events"] == plain.events_executed
+        assert beats[-1].wall_s == sliced.wallclock_s
 
     def test_heartbeat_stream_shape(self):
         spec = small_spec()
         beats: list[RunProgress] = []
-        run_with_heartbeat(spec, beats.append, slices=4)
+        spec.run(beats.append, slices=4)
         assert len(beats) == 5  # one per slice + the final done beat
         assert [b.done for b in beats] == [False] * 4 + [True]
         assert all(b.key == spec.key() for b in beats)
@@ -60,7 +55,7 @@ class TestRunWithHeartbeat:
 
     def test_slices_must_be_positive(self):
         with pytest.raises(ValueError, match="slices"):
-            run_with_heartbeat(small_spec(), lambda p: None, slices=0)
+            small_spec().run(lambda p: None, slices=0)
 
     def test_runtime_stats_shape(self):
         result = small_spec().run()
@@ -102,7 +97,7 @@ class TestRunnerTelemetry:
     def test_serial_runner_streams_and_persists_runtime(self, tmp_path):
         specs = [small_spec(1), small_spec(2)]
         beats: list[RunProgress] = []
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         report = run_specs(
             specs, store=store, telemetry=beats.append, slices=3
         )
@@ -115,7 +110,7 @@ class TestRunnerTelemetry:
     def test_pooled_runner_matches_serial_results(self, tmp_path):
         specs = [small_spec(1), small_spec(2), small_spec(3)]
         beats: list[RunProgress] = []
-        store = ResultStore(tmp_path / "live")
+        store = open_store(tmp_path / "live")
         live = run_specs(
             specs, jobs=2, store=store, telemetry=beats.append, slices=3
         )
@@ -131,7 +126,7 @@ class TestRunnerTelemetry:
 
     def test_cached_cells_emit_no_heartbeats(self, tmp_path):
         spec = small_spec(1)
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         run_specs([spec], store=store)
         beats: list[RunProgress] = []
         report = run_specs([spec], store=store, telemetry=beats.append)

@@ -18,7 +18,6 @@ import pytest
 from repro.builder import NetworkBuilder
 from repro.campaign.spec import RunSpec
 from repro.config import MobilityConfig, ScenarioConfig, TrafficConfig
-from repro.obs.telemetry import run_with_heartbeat
 from repro.phy.radio import Radio
 from repro.scenariospec import ComponentSpec, ScenarioSpec
 from repro.sim.kernel import Wave
@@ -100,7 +99,7 @@ class TestHorizonsInsideWaves:
     def test_run_with_heartbeat_is_bit_identical(self):
         spec = RunSpec(scenario=_spec(duration_s=3.0, mobile=True))
         beats = []
-        result, _ = run_with_heartbeat(spec, beats.append, slices=333)
+        result = spec.run(beats.append, slices=333)
         oracle, _ = _run_both(spec.scenario)
         assert _summary(result) == oracle
         assert len(beats) == 334  # every slice plus the final beat

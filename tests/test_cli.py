@@ -201,7 +201,7 @@ class TestScenarioFile:
 
     def test_campaign_live_streams_progress(self, capsys, tmp_path):
         """--live renders heartbeat lines and persists runtime stats."""
-        from repro.campaign.store import ResultStore
+        from repro.fleet.shards import open_store
 
         store_dir = tmp_path / "store"
         assert main([
@@ -212,7 +212,7 @@ class TestScenarioFile:
         out = capsys.readouterr().out
         assert "done " in out  # the final heartbeat line
         assert "ev/s" in out
-        store = ResultStore(store_dir)
+        store = open_store(store_dir)
         (key,) = store.keys()
         stats = store.runtime_stats(key)
         assert stats["events"] > 0
@@ -297,12 +297,25 @@ class TestFleetCli:
         assert main(["fleet", "status", store_dir, "--clear-stop"]) == 0
         assert "STOP requested" not in capsys.readouterr().out
 
-    def test_compact_refuses_flat_store(self, capsys, tmp_path):
-        from repro.campaign.store import ResultStore
+    def test_compact_migrates_a_flat_store(self, capsys, tmp_path):
+        import json
 
-        ResultStore(tmp_path / "flat")
-        assert main(["fleet", "compact", str(tmp_path / "flat")]) == 2
-        assert "flat" in capsys.readouterr().err
+        from repro.campaign.spec import Campaign
+        from repro.campaign.store import result_to_dict
+        from repro.config import ScenarioConfig
+        from repro.fleet import open_store
+
+        (spec,) = Campaign.build(
+            ScenarioConfig(node_count=6, duration_s=4.0), ["basic"], [80.0], [1]
+        ).specs()
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        line = {"key": spec.key(), "spec": {}, "result": result_to_dict(spec.run())}
+        (flat / "results.jsonl").write_text(json.dumps(line) + "\n")
+        assert main(["fleet", "compact", str(flat)]) == 0
+        assert "1 line(s)" in capsys.readouterr().out
+        assert (flat / "results.jsonl.migrated").exists()
+        assert set(open_store(flat).keys()) == {spec.key()}
 
     def test_fleet_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure fleet campaign throughput: cold execution vs content-cache hits.
 
-Drives the same grid twice through ``run_specs(fleet=True)`` — the exact
+Drives the same grid twice through ``run_specs(jobs=2)`` — the exact
 service boundary ``repro fleet serve`` uses, supervised workers and all —
 against one sharded store:
 
@@ -67,7 +67,7 @@ def _fields(result) -> dict:
 
 def _pass(specs, store) -> tuple[dict, dict]:
     t0 = time.perf_counter()
-    report = run_specs(specs, jobs=JOBS, store=store, fleet=True)
+    report = run_specs(specs, jobs=JOBS, store=store)
     wall = time.perf_counter() - t0
     assert not report.errors, report.errors
     stats = {

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """CI smoke: a campaign survives a dying worker and resumes cleanly.
 
-Runs a tiny pooled campaign in which one cell is rigged to blow up in the
-worker (an ``explicit`` placement whose position count contradicts
+Runs a tiny two-worker campaign in which one cell is rigged to blow up in
+the worker (an ``explicit`` placement whose position count contradicts
 ``node_count`` — the builder raises inside the child process) and asserts
 the failure-containment contract end to end:
 
@@ -14,7 +14,7 @@ the failure-containment contract end to end:
 
 Exits non-zero (via assert) on any violation.  Kept as a script rather
 than a pytest so CI exercises the same ``run_specs`` entry points the
-``repro campaign`` CLI uses, with a real process pool.
+``repro campaign`` CLI uses, with real worker processes.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.campaign.runner import run_specs  # noqa: E402
 from repro.campaign.spec import RunSpec  # noqa: E402
-from repro.campaign.store import ResultStore  # noqa: E402
 from repro.config import ScenarioConfig  # noqa: E402
+from repro.fleet.shards import open_store  # noqa: E402
 from repro.scenariospec import ComponentSpec, ScenarioSpec  # noqa: E402
 
 
@@ -57,9 +57,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         store_path = Path(tmp) / "store"
 
-        store = ResultStore(store_path)
+        store = open_store(store_path)
         report = run_specs(
-            specs, jobs=2, store=store, retries=1, backoff_s=0.01,
+            specs, jobs=2, store=store, retries=1,
             progress=lambda s: print("  " + s),
         )
         assert len(report.results) == 2, report.results.keys()
@@ -71,7 +71,7 @@ def main() -> int:
         assert not report.stopped
 
         # A fresh store load sees the error but keeps it out of the index.
-        store2 = ResultStore(store_path)
+        store2 = open_store(store_path)
         assert len(store2) == 2
         assert store2.error(doomed_key) is not None
         assert store2.get(doomed_key) is None
@@ -79,7 +79,7 @@ def main() -> int:
         # Resume: healthy cells are cache hits, the doomed cell re-runs.
         ran: list[str] = []
         report2 = run_specs(
-            specs, jobs=2, store=store2, retries=0, backoff_s=0.01,
+            specs, jobs=2, store=store2, retries=0,
             progress=lambda s: ran.append(s),
         )
         assert len(report2.results) == 2
